@@ -1,16 +1,12 @@
 // Simulator throughput bench: end-to-end ADDC collection wall time and
 // deterministic work accounting (perf.* counters) across network sizes, for
-// both interference-field engines (spectrum/interference_field.h) and both
-// event-scheduler backends (sim/simulator.h).
+// both interference-field engines (spectrum/interference_field.h).
 //
 // Three jobs in one binary:
-//   1. Verification sweeps at the smallest size: (a) the cached and the
-//      direct SIR engine, and (b) the calendar-queue and the reference-heap
-//      scheduler, each run the same scenarios with trace digests on, and
-//      the bench FAILS (exit 1) if any pair of digests differs — the
-//      bit-identity contracts, checked in the artifact itself. The
-//      scheduler pair must also agree on every perf.sched_* work counter
-//      except bucket resizes (a calendar-only notion).
+//   1. Verification sweep at the smallest size: the cached and the direct
+//      SIR engine run the same scenarios with trace digests on, and the
+//      bench FAILS (exit 1) if their digests differ — the bit-identity
+//      contract, checked in the artifact itself.
 //   2. Per-(n, engine) timing sweeps with audits off: one sweep per cell so
 //      wall_seconds and the perf.* counters are attributable to exactly one
 //      engine at one size. tools/bench_delta.py compares these sections
@@ -57,10 +53,6 @@ core::ScenarioConfig ScaledBy(const core::ScenarioConfig& base, double factor) {
 }
 
 const char* EngineLabel(bool direct) { return direct ? "direct" : "cached"; }
-
-const char* SchedulerLabel(bool reference) {
-  return reference ? "reference" : "calendar";
-}
 
 // Looks up one counter in a sweep's captured metric state; 0 when the key
 // was never touched (e.g. cache counters under the direct engine).
@@ -124,44 +116,6 @@ int main(int argc, char** argv) {
       EngineMetric(verified, "perf.sir_evaluations", true);
   const bool work_invariant = cached_evals + cached_skipped == direct_evals;
   sweeps.push_back(verified);
-
-  // --- 1b. Scheduler verification sweep: calendar queue vs reference heap,
-  // digests on. Identical digests prove the calendar queue pops the exact
-  // same (time, priority, seq) total order; identical sched work counters
-  // prove it did so with the same push/pop/cancel traffic. ---
-  obs::MetricsRegistry sched_metrics;
-  harness::SweepSpec sched_verify;
-  sched_verify.title =
-      "scheduler verification n=" + std::to_string(smallest.num_sus);
-  sched_verify.parameter_name = "scheduler";
-  sched_verify.repetitions = options.repetitions;
-  sched_verify.jobs = options.jobs;
-  sched_verify.collect_digests = true;
-  sched_verify.addc_only = true;
-  sched_verify.metrics = &sched_metrics;
-  sched_verify.profiler = &profiler;
-  for (const bool reference : {false, true}) {
-    core::ScenarioConfig config = smallest;
-    config.reference_scheduler = reference;
-    sched_verify.points.push_back({SchedulerLabel(reference), config});
-  }
-  const harness::SweepResult sched_verified = harness::RunSweep(sched_verify);
-  const std::uint64_t calendar_digest =
-      sched_verified.summaries[0].addc_trace_digest;
-  const std::uint64_t reference_digest =
-      sched_verified.summaries[1].addc_trace_digest;
-  const bool sched_digests_match = calendar_digest == reference_digest;
-  bool sched_work_invariant = true;
-  for (const char* counter :
-       {"perf.sched_pushes", "perf.sched_pops", "perf.sched_cancels",
-        "perf.sched_stale_skips"}) {
-    const std::string name(counter);
-    sched_work_invariant =
-        sched_work_invariant &&
-        Metric(sched_verified, name + "{scheduler=calendar}") ==
-            Metric(sched_verified, name + "{scheduler=reference}");
-  }
-  sweeps.push_back(sched_verified);
 
   // --- 2. Timing sweeps: one per (size, alpha, engine), audits off. The
   // extra alpha=3.5 rung (middle size: non-default alpha changes the
@@ -290,21 +244,11 @@ int main(int argc, char** argv) {
             << "): " << (digests_match ? "IDENTICAL " : "MISMATCH ")
             << harness::DigestHex(cached_digest) << " vs "
             << harness::DigestHex(direct_digest) << "\n";
-  std::cout << "digest check (calendar vs reference scheduler, n="
-            << smallest.num_sus
-            << "): " << (sched_digests_match ? "IDENTICAL " : "MISMATCH ")
-            << harness::DigestHex(calendar_digest) << " vs "
-            << harness::DigestHex(reference_digest) << "\n";
   std::cout << "work invariant (evals_cached + skipped == evals_direct): "
             << (work_invariant ? "OK" : "VIOLATED") << " (" << cached_evals
-            << " + " << cached_skipped << " vs " << direct_evals << ")\n";
-  std::cout << "sched work invariant (calendar == reference counters): "
-            << (sched_work_invariant ? "OK" : "VIOLATED") << "\n\n";
+            << " + " << cached_skipped << " vs " << direct_evals << ")\n\n";
 
   const bool wrote = harness::WriteBenchJson(
       "sim_throughput", options, sweeps, timer.Seconds(), std::cout, &profiler);
-  return (wrote && digests_match && sched_digests_match && work_invariant &&
-          sched_work_invariant)
-             ? 0
-             : 1;
+  return (wrote && digests_match && work_invariant) ? 0 : 1;
 }

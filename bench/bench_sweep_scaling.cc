@@ -1,23 +1,24 @@
-// Sweep-engine scaling bench: the work-stealing executor plus the shared
-// scenario-prefab cache (DESIGN.md §15) against the legacy mutex-FIFO
-// ThreadPool engine with per-cell geometry rebuilds, on the same
-// multi-point delay-vs-p_t sweep.
+// Sweep-engine scaling bench: the work-stealing executor with the shared
+// scenario-prefab cache (DESIGN.md §15) against the same executor
+// rebuilding the geometry in every cell, on the same multi-point
+// delay-vs-p_t sweep. Prefab reuse is where the sweep engine's speedup
+// comes from, so this A/B isolates it.
 //
 // Three jobs in one binary:
-//   1. Engine verification: each engine runs a two-point sweep of the same
-//      configuration with trace digests on. Digests must agree inside each
-//      sweep (per-engine determinism, re-checkable from the artifact by
-//      tools/bench_delta.py --verify-digests) and across the engines — the
-//      bench FAILS (exit 1) on any mismatch.
+//   1. Engine verification: each configuration runs a two-point sweep of
+//      the same scenario with trace digests on. Digests must agree inside
+//      each sweep (determinism, re-checkable from the artifact by
+//      tools/bench_delta.py --verify-digests) and across the two
+//      configurations — the bench FAILS (exit 1) on any mismatch.
 //   2. Headline A/B at jobs=4: the horizon-capped delay sweep once per
-//      configuration — work stealing + prefab cache vs ThreadPool +
-//      rebuild-every-cell. The sweeps carry the deterministic prefab.*
-//      counters (exact functions of the instance, gated 1:1 in CI) and the
-//      "pool" scheduling diagnostics (steals budget only — they depend on
-//      OS scheduling). The bench fails unless the cache actually shared
-//      work (prefab.hits > 0).
-//   3. Strong-scaling rows at jobs in {1, 2, 4}: cells/second under the new
-//      engine, for EXPERIMENTS.md's scaling table and the CI artifact.
+//      configuration — prefab cache vs rebuild-every-cell. The sweeps
+//      carry the deterministic prefab.* counters (exact functions of the
+//      instance, gated 1:1 in CI) and the "pool" scheduling diagnostics
+//      (steals budget only — they depend on OS scheduling). The bench
+//      fails unless the cache actually shared work (prefab.hits > 0).
+//   3. Strong-scaling rows at jobs in {1, 2, 4}: cells/second with the
+//      prefab cache, for EXPERIMENTS.md's scaling table and the CI
+//      artifact.
 //
 // The cells are horizon-capped (a full collection at this size would
 // dominate wall time and dilute what this bench isolates: per-cell setup
@@ -53,8 +54,8 @@ core::ScenarioConfig ScaledBy(const core::ScenarioConfig& base, double factor) {
   return config;
 }
 
-const char* EngineLabel(bool stealing) {
-  return stealing ? "stealing+prefab" : "pool+rebuild";
+const char* ConfigLabel(bool prefab) {
+  return prefab ? "stealing+prefab" : "stealing+rebuild";
 }
 
 // The shared workload: a horizon-capped delay-vs-p_t sweep (the Fig. 6(c)
@@ -62,15 +63,13 @@ const char* EngineLabel(bool stealing) {
 // a geometry). Digests and sinks are attached by the callers.
 harness::SweepSpec DelaySweep(const core::ScenarioConfig& sized,
                               std::int32_t repetitions, std::int32_t jobs,
-                              std::int64_t grain, bool stealing) {
+                              std::int64_t grain, bool prefab) {
   harness::SweepSpec spec;
   spec.parameter_name = "p_t";
   spec.repetitions = repetitions;
   spec.jobs = jobs;
   spec.grain = grain;
-  spec.engine = stealing ? harness::ExecutionEngine::kWorkStealing
-                         : harness::ExecutionEngine::kThreadPool;
-  spec.prefab_cache = stealing;
+  spec.prefab_cache = prefab;
   spec.addc_only = true;
   for (const double p_t : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}) {
     core::ScenarioConfig config = sized;
@@ -98,8 +97,8 @@ int main(int argc, char** argv) {
   harness::PrintBenchHeader(
       "sweep-engine scaling — work stealing + scenario-prefab cache",
       "the work-stealing engine with shared prefabs runs the same delay "
-      "sweep bit-identically to the ThreadPool engine with per-cell "
-      "rebuilds, and >= 1.3x faster at jobs=4",
+      "sweep bit-identically to per-cell rebuilds, and >= 1.3x faster at "
+      "jobs=4",
       options, std::cout);
 
   // The headline instance: 4x the base scale (the paper's full n = 2000 at
@@ -108,21 +107,19 @@ int main(int argc, char** argv) {
   const core::ScenarioConfig sized = ScaledBy(options.base, 4.0);
   std::vector<harness::SweepResult> sweeps;
 
-  // --- 1. Engine verification: same two identical points per engine,
-  // digests on. Within a sweep the two points must agree (determinism of
-  // that engine); across the sweeps the engines must agree with each other.
-  std::uint64_t digest_by_engine[2] = {0, 0};
-  for (const bool stealing : {false, true}) {
+  // --- 1. Engine verification: same two identical points per
+  // configuration, digests on. Within a sweep the two points must agree
+  // (determinism); across the sweeps the prefab cache must not change them.
+  std::uint64_t digest_by_config[2] = {0, 0};
+  for (const bool prefab : {false, true}) {
     harness::SweepSpec verify;
     verify.title =
-        std::string("engine verification (") + EngineLabel(stealing) + ")";
+        std::string("engine verification (") + ConfigLabel(prefab) + ")";
     verify.parameter_name = "run";
     verify.repetitions = options.repetitions;
     verify.jobs = 4;
     verify.grain = options.grain;
-    verify.engine = stealing ? harness::ExecutionEngine::kWorkStealing
-                             : harness::ExecutionEngine::kThreadPool;
-    verify.prefab_cache = stealing;
+    verify.prefab_cache = prefab;
     verify.collect_digests = true;
     verify.addc_only = true;
     verify.profiler = &profiler;
@@ -131,41 +128,41 @@ int main(int argc, char** argv) {
     verify.points.push_back({"first", small});
     verify.points.push_back({"again", small});
     const harness::SweepResult verified = harness::RunSweep(verify);
-    digest_by_engine[stealing ? 1 : 0] =
+    digest_by_config[prefab ? 1 : 0] =
         verified.summaries[0].addc_trace_digest;
     sweeps.push_back(verified);
   }
   const bool digests_match =
-      digest_by_engine[0] != 0 && digest_by_engine[0] == digest_by_engine[1];
+      digest_by_config[0] != 0 && digest_by_config[0] == digest_by_config[1];
 
   // --- 2. Headline A/B at jobs=4 on the horizon-capped delay sweep. ---
-  double wall_by_engine[2] = {0.0, 0.0};
+  double wall_by_config[2] = {0.0, 0.0};
   std::int64_t prefab_hits = 0;
-  for (const bool stealing : {false, true}) {
+  for (const bool prefab : {false, true}) {
     obs::MetricsRegistry metrics;
     harness::SweepSpec spec =
         DelaySweep(sized, options.repetitions, /*jobs=*/4, options.grain,
-                   stealing);
-    spec.title = std::string("delay sweep jobs=4 (") + EngineLabel(stealing) +
+                   prefab);
+    spec.title = std::string("delay sweep jobs=4 (") + ConfigLabel(prefab) +
                  ") n=" + std::to_string(sized.num_sus);
     spec.metrics = &metrics;
     spec.profiler = &profiler;
     const harness::SweepResult result = harness::RunSweep(spec);
-    wall_by_engine[stealing ? 1 : 0] = result.wall_seconds;
-    if (stealing) prefab_hits = Metric(result, "prefab.hits");
+    wall_by_config[prefab ? 1 : 0] = result.wall_seconds;
+    if (prefab) prefab_hits = Metric(result, "prefab.hits");
     sweeps.push_back(result);
   }
-  const double speedup = wall_by_engine[1] > 0.0
-                             ? wall_by_engine[0] / wall_by_engine[1]
+  const double speedup = wall_by_config[1] > 0.0
+                             ? wall_by_config[0] / wall_by_config[1]
                              : 0.0;
 
-  // --- 3. Strong scaling under the new engine: cells/sec at jobs 1/2/4. ---
+  // --- 3. Strong scaling with the prefab cache: cells/sec at jobs 1/2/4. ---
   harness::Table table({"jobs", "engine", "cells", "wall (s)", "cells/s",
                         "chunks", "steals", "prefab hits", "prefab misses"});
   for (const std::int32_t jobs : {1, 2, 4}) {
     obs::MetricsRegistry metrics;
     harness::SweepSpec spec = DelaySweep(sized, options.repetitions, jobs,
-                                         options.grain, /*stealing=*/true);
+                                         options.grain, /*prefab=*/true);
     spec.title = "scaling jobs=" + std::to_string(jobs) +
                  " n=" + std::to_string(sized.num_sus);
     spec.metrics = &metrics;
@@ -175,7 +172,7 @@ int main(int argc, char** argv) {
         result.wall_seconds > 0.0
             ? static_cast<double>(result.pool.tasks) / result.wall_seconds
             : 0.0;
-    table.AddRow({std::to_string(jobs), EngineLabel(true),
+    table.AddRow({std::to_string(jobs), ConfigLabel(true),
                   std::to_string(result.pool.tasks),
                   harness::FormatDouble(result.wall_seconds, 3),
                   harness::FormatDouble(cells_per_second, 1),
@@ -188,15 +185,15 @@ int main(int argc, char** argv) {
 
   table.PrintMarkdown(std::cout);
   std::cout << "\n";
-  std::cout << "digest check (" << EngineLabel(false) << " vs "
-            << EngineLabel(true)
+  std::cout << "digest check (" << ConfigLabel(false) << " vs "
+            << ConfigLabel(true)
             << "): " << (digests_match ? "IDENTICAL " : "MISMATCH ")
-            << harness::DigestHex(digest_by_engine[0]) << " vs "
-            << harness::DigestHex(digest_by_engine[1]) << "\n";
-  std::cout << "headline jobs=4: " << EngineLabel(false) << " "
-            << harness::FormatDouble(wall_by_engine[0], 3) << "s vs "
-            << EngineLabel(true) << " "
-            << harness::FormatDouble(wall_by_engine[1], 3) << "s — "
+            << harness::DigestHex(digest_by_config[0]) << " vs "
+            << harness::DigestHex(digest_by_config[1]) << "\n";
+  std::cout << "headline jobs=4: " << ConfigLabel(false) << " "
+            << harness::FormatDouble(wall_by_config[0], 3) << "s vs "
+            << ConfigLabel(true) << " "
+            << harness::FormatDouble(wall_by_config[1], 3) << "s — "
             << harness::FormatDouble(speedup, 2) << "x\n";
   std::cout << "prefab sharing: " << prefab_hits
             << " cache hits (must be > 0)\n\n";

@@ -1,5 +1,6 @@
 #include "common/env.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -34,7 +35,8 @@ double GetEnvDouble(const std::string& name, double fallback) {
   try {
     std::size_t pos = 0;
     const double parsed = std::stod(*raw, &pos);
-    if (pos == raw->size()) return parsed;
+    // std::stod accepts "nan" and "inf"; no setting has a meaning for them.
+    if (pos == raw->size() && std::isfinite(parsed)) return parsed;
   } catch (const std::exception&) {
   }
   // Silently ignoring an operator typo is worse than a line of stderr.

@@ -75,11 +75,6 @@ struct ScenarioConfig {
   // this knob exists for the property tests and for before/after work
   // accounting in bench_sim_throughput, not for accuracy trade-offs.
   bool direct_sir_engine = false;
-  // Scheduler backend selector (sim/simulator.h). The calendar queue is
-  // bit-identical to the reference heap on every scenario — this knob exists
-  // for the determinism A/B tests and the throughput bench's before/after
-  // comparison, mirroring direct_sir_engine.
-  bool reference_scheduler = false;
   // Reproducibility.
   std::uint64_t seed = 0x5EEDADDCULL;
   std::int32_t max_deployment_attempts = 500;

@@ -1,5 +1,7 @@
 #include "harness/flags.h"
 
+#include <cmath>
+
 namespace crn::harness {
 
 FlagParser::FlagParser(int argc, const char* const* argv) {
@@ -46,10 +48,11 @@ double FlagParser::GetDouble(const std::string& name, double fallback) {
   try {
     std::size_t pos = 0;
     const double parsed = std::stod(it->second, &pos);
-    if (pos == it->second.size()) return parsed;
+    if (pos == it->second.size() && std::isfinite(parsed)) return parsed;
   } catch (const std::exception&) {
   }
-  errors_.push_back("--" + name + "=" + it->second + " is not a number");
+  // std::stod accepts "nan" and "inf"; no parameter has a meaning for them.
+  errors_.push_back("--" + name + "=" + it->second + " is not a finite number");
   return fallback;
 }
 

@@ -1,13 +1,9 @@
 #include "harness/parallel_runner.h"
 
 #include <algorithm>
-#include <future>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "harness/profiler.h"
-#include "harness/thread_pool.h"
 
 namespace crn::harness {
 
@@ -17,16 +13,15 @@ std::int32_t ResolveJobs(std::int32_t requested) {
   return std::max<std::int32_t>(1, static_cast<std::int32_t>(hardware));
 }
 
-ParallelRunner::ParallelRunner(std::int32_t jobs, std::int64_t grain,
-                               ExecutionEngine engine)
-    : jobs_(ResolveJobs(jobs)), grain_(grain), engine_(engine) {}
+ParallelRunner::ParallelRunner(std::int32_t jobs, std::int64_t grain)
+    : jobs_(ResolveJobs(jobs)), grain_(grain) {}
 
 WorkStealingStats ParallelRunner::ForEachIndex(
     std::int64_t count, const std::function<void(std::int64_t)>& fn,
     RunProfiler* profiler, const std::string& phase) const {
   if (count <= 0) return {};
-  // Same call for every engine: a profiled cell is one span labelled
-  // "<phase>[i]" on whichever worker ran it.
+  // A profiled cell is one span labelled "<phase>[i]" on whichever worker
+  // ran it.
   const auto run_cell = [&fn, profiler, &phase](std::int64_t i) {
     if (profiler == nullptr) {
       fn(i);
@@ -37,46 +32,8 @@ WorkStealingStats ParallelRunner::ForEachIndex(
     fn(i);
   };
 
-  if (engine_ == ExecutionEngine::kWorkStealing) {
-    return RunWorkStealing(count, std::min<std::int64_t>(jobs_, count),
-                           grain_, run_cell);
-  }
-
-  // Legacy ThreadPool engine (A/B baseline): one heap-allocated closure and
-  // one future per cell through the mutex-FIFO queue.
-  WorkStealingStats stats;
-  stats.tasks = count;
-  stats.chunks = count;
-  if (jobs_ == 1) {
-    stats.workers = 1;
-    for (std::int64_t i = 0; i < count; ++i) run_cell(i);
-    return stats;
-  }
-  // One pool per fan-out: experiment cells are seconds-long simulations, so
-  // thread startup is noise, and a fresh pool keeps the runner stateless.
-  ThreadPool pool(static_cast<std::size_t>(
-      std::min<std::int64_t>(jobs_, count)));
-  stats.workers = static_cast<std::int32_t>(pool.thread_count());
-  std::vector<std::future<void>> cells;
-  cells.reserve(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    cells.push_back(
-        pool.Submit(  // crn-lint-ok: jobs only call run_cell, which writes
-                      // a distinct per-cell slot keyed by its own index i.
-            [&run_cell, i] { run_cell(i); }));
-  }
-  // Collect in index order: every cell finishes (no abandoned work), and
-  // the lowest-index exception is the one that propagates.
-  std::exception_ptr first_error;
-  for (std::future<void>& cell : cells) {
-    try {
-      cell.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return stats;
+  return RunWorkStealing(count, std::min<std::int64_t>(jobs_, count), grain_,
+                         run_cell);
 }
 
 }  // namespace crn::harness

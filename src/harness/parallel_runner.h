@@ -7,11 +7,8 @@
 // only has to execute cells and let the caller reduce the per-index results
 // in a fixed order — the output is bit-identical at every jobs value, which
 // tests/harness/parallel_sweep_test.cc pins against the inline (jobs = 1)
-// engine via the auditor's trace digests.
-//
-// The default engine is the work-stealing executor (work_stealing.h); the
-// legacy mutex-FIFO ThreadPool engine is kept selectable so
-// bench_sweep_scaling can A/B the two on identical work.
+// engine via the auditor's trace digests. The parallel engine is the
+// work-stealing executor (work_stealing.h).
 #ifndef CRN_HARNESS_PARALLEL_RUNNER_H_
 #define CRN_HARNESS_PARALLEL_RUNNER_H_
 
@@ -35,14 +32,11 @@ class ParallelRunner {
   // `jobs` is taken through ResolveJobs(); a resolved value of 1 runs every
   // cell inline on the calling thread (the serial engine — no pool, no
   // synchronization). `grain` follows ResolveGrain() (work_stealing.h):
-  // >= 1 cells per chunk literally, 0 = auto; the ThreadPool engine
-  // ignores it (it submits per cell).
-  explicit ParallelRunner(std::int32_t jobs, std::int64_t grain = 0,
-                          ExecutionEngine engine = ExecutionEngine::kWorkStealing);
+  // >= 1 cells per chunk literally, 0 = auto.
+  explicit ParallelRunner(std::int32_t jobs, std::int64_t grain = 0);
 
   [[nodiscard]] std::int32_t jobs() const { return jobs_; }
   [[nodiscard]] std::int64_t grain() const { return grain_; }
-  [[nodiscard]] ExecutionEngine engine() const { return engine_; }
 
   // Runs fn(0) .. fn(count - 1), all indices exactly once. Parallel
   // execution order is unspecified; callers must write results only to
@@ -55,8 +49,7 @@ class ParallelRunner {
   // order, or any result, and a null profiler costs one branch per cell.
   //
   // Returns scheduling diagnostics (never digested: steals depend on OS
-  // scheduling). Under the ThreadPool engine, chunks == tasks and
-  // steals == 0 — every cell is its own submission.
+  // scheduling).
   WorkStealingStats ForEachIndex(std::int64_t count,
                                  const std::function<void(std::int64_t)>& fn,
                                  RunProfiler* profiler = nullptr,
@@ -65,12 +58,11 @@ class ParallelRunner {
  private:
   std::int32_t jobs_;
   std::int64_t grain_;
-  ExecutionEngine engine_;
 };
 
 // Wall-clock stopwatch for experiment timing (bench JSON, speedup
 // reporting). Quarantined here so simulation code keeps depending on
-// sim::TimeNs only — the crn_lint wall-clock rule still guards src/.
+// sim::TimeNs only — the crn_analyze wall-clock rule still guards src/.
 class WallTimer {
  public:
   WallTimer()

@@ -33,7 +33,7 @@ class RunProfiler {
     std::string label;   // instance, e.g. "point=40 rep=2 algo=addc"
     double begin_s = 0;  // seconds since the profiler's construction
     double end_s = 0;
-    std::int32_t worker = 0;  // ThreadPool worker index; 0 = caller thread
+    std::int32_t worker = 0;  // work-stealing worker index; 0 = caller thread
   };
 
   // Per-phase aggregate, sorted by phase name for deterministic layout

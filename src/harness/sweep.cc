@@ -61,7 +61,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
   // pure function of (config, rep) either way, so cached and rebuilt
   // geometry are bit-identical (verify_prefabs re-proves it per hit).
   core::ScenarioPrefabCache prefab_cache(spec.verify_prefabs);
-  const ParallelRunner runner(spec.jobs, spec.grain, spec.engine);
+  const ParallelRunner runner(spec.jobs, spec.grain);
   sweep.pool = runner.ForEachIndex(
       cell_count,
       [&](std::int64_t index) {

@@ -25,14 +25,6 @@
 
 namespace crn::harness {
 
-// Fan-out engine selector (ParallelRunner, SweepSpec). The legacy pool is
-// kept only so bench_sweep_scaling can A/B the engines on identical work —
-// both produce bit-identical results.
-enum class ExecutionEngine : std::uint8_t {
-  kWorkStealing,  // default: flat chunk array + owner-LIFO / thief-FIFO
-  kThreadPool,    // legacy: per-cell std::function over the mutex-FIFO pool
-};
-
 // Scheduling diagnostics for one fan-out. tasks/chunks/workers are exact
 // functions of (count, workers, grain); steals depends on OS scheduling and
 // is bounded above by chunks.
@@ -58,6 +50,12 @@ std::int64_t ResolveGrain(std::int64_t requested, std::int64_t count,
 WorkStealingStats RunWorkStealing(std::int64_t count, std::int32_t workers,
                                   std::int64_t grain,
                                   const std::function<void(std::int64_t)>& fn);
+
+// 1-based index of the RunWorkStealing worker running the calling thread;
+// 0 when the caller is not a worker (the main thread, or the inline serial
+// engine). Profiling hooks use this as a stable Chrome-trace tid — it never
+// feeds simulation state.
+[[nodiscard]] std::int32_t current_worker_index();
 
 }  // namespace crn::harness
 

@@ -168,12 +168,16 @@ StateReader::StateReader(std::string_view blob) {
     Fail("truncated checkpoint: envelope ends inside the version field");
     return;
   }
-  if (version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
+    // Sections carry no per-field tags, so another version's layout would
+    // misparse silently; refuse it outright.
+    const bool newer = version > kCheckpointVersion;
     std::ostringstream message;
-    message << "checkpoint format version " << version
-            << " is newer than this binary supports (version "
-            << kCheckpointVersion
-            << ") — re-create the checkpoint or use a newer build";
+    message << "checkpoint format version " << version << " is "
+            << (newer ? "newer" : "older") << " than this binary supports "
+            << "(version " << kCheckpointVersion
+            << ") — re-create the checkpoint with this build"
+            << (newer ? ", or use a newer build" : "");
     Fail(message.str());
     return;
   }

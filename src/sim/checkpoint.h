@@ -39,10 +39,11 @@
 namespace crn::sim {
 
 // Format identity. Bump kCheckpointVersion on any incompatible layout
-// change; readers reject newer versions with an actionable message.
+// change; readers reject every other version with an actionable message.
+// Version 2 dropped the scheduler-backend byte from "sim.core".
 inline constexpr char kCheckpointMagic[8] = {'C', 'R', 'N', 'C',
                                              'K', 'P', 'T', '1'};
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 // CRC-32 (IEEE 802.3 polynomial, reflected) over `data` — the per-section
 // integrity check. Exposed for tests and for the harness journal.

@@ -21,13 +21,11 @@
 //
 // Engine: an arena-backed event store (slot + generation liveness, so a
 // cancelled or re-armed event is a stale queue entry skipped on pop) under
-// one of two queue backends selected by SchedulerKind:
-//   * kCalendar — a bucketed calendar queue; O(1) amortized push/pop under
-//     the backoff-freeze timer churn CollectionMac generates, with a
-//     global-min cursor jump as the sparse-horizon fallback.
-//   * kReference — the pre-overhaul binary heap, kept so A/B runs can prove
-//     the calendar queue pops in exactly the same order (trace digests must
-//     be bit-identical; mirrors the SirEngine::kDirect pattern).
+// a bucketed calendar queue: O(1) amortized push/pop under the
+// backoff-freeze timer churn CollectionMac generates, with a global-min
+// cursor jump as the sparse-horizon fallback. tests/sim/scheduler_fuzz_test
+// drives a plain binary heap over the same EventKey order in lockstep with
+// it as the reference oracle.
 #ifndef CRN_SIM_SIMULATOR_H_
 #define CRN_SIM_SIMULATOR_H_
 
@@ -36,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,17 +55,6 @@ enum class EventPriority : std::int8_t {
 
 // Strictly increasing per-schedule sequence number (the EventKey tie-break).
 using EventId = std::uint64_t;
-
-// Queue backend. kReference exists for determinism A/B tests only — both
-// backends implement the exact same (time, priority, seq) total order.
-enum class SchedulerKind : std::uint8_t {
-  kCalendar = 0,
-  kReference = 1,
-};
-
-inline const char* ToString(SchedulerKind kind) {
-  return kind == SchedulerKind::kCalendar ? "calendar" : "reference";
-}
 
 // Deterministic scheduler work counters — exact functions of (scenario,
 // seed), exported as perf.sched_* metrics and budget-gated in CI.
@@ -93,7 +79,7 @@ class StateWriter;
 
 class Simulator {
  public:
-  explicit Simulator(SchedulerKind kind = SchedulerKind::kCalendar);
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -102,7 +88,6 @@ class Simulator {
   // Exact count of live pending events (armed timers + unfired one-shots);
   // maintained directly, so cancel-after-pop interleavings cannot skew it.
   [[nodiscard]] std::size_t pending_count() const { return pending_; }
-  [[nodiscard]] SchedulerKind scheduler_kind() const { return kind_; }
   [[nodiscard]] const SchedStats& sched_stats() const { return stats_; }
 
   // Schedules a fire-and-forget `fn` at absolute time `when` (≥ now).
@@ -255,11 +240,6 @@ class Simulator {
       return EventKey{time, static_cast<std::int32_t>(priority), seq};
     }
   };
-  struct QEntryGreater {
-    bool operator()(const QEntry& a, const QEntry& b) const {
-      return a.key() > b.key();
-    }
-  };
 
   [[nodiscard]] bool EntryLive(const QEntry& e) const {
     return slots_[e.slot].generation == e.gen;
@@ -291,14 +271,13 @@ class Simulator {
   bool ExecuteNext();
   void RunObservers();
 
-  // Calendar backend.
+  // Calendar queue.
   void CalPush(const QEntry& entry);
   void CalInsert(const QEntry& entry);
   std::vector<QEntry>* CalMinBucket();
   void CalResize(std::size_t min_buckets);
   void CalMaybeShrink();
 
-  SchedulerKind kind_;
   TimeNs now_ = 0;
   EventId next_seq_ = 1;
   // Seq of the event whose callback is executing (0 outside callbacks) —
@@ -325,9 +304,6 @@ class Simulator {
   std::uint64_t cal_mask_ = 0;
   int cal_shift_ = kInitialCalendarShift;
   std::size_t cal_size_ = 0;
-
-  // Reference backend (binary heap over the same key).
-  std::priority_queue<QEntry, std::vector<QEntry>, QEntryGreater> ref_queue_;
 
   std::vector<std::function<void(TimeNs)>> event_observers_;
 

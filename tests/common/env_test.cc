@@ -41,8 +41,10 @@ TEST_F(EnvTest, IntParsing) {
 TEST_F(EnvTest, DoubleParsing) {
   SetEnv("CRN_TEST_VAR", "0.25");
   EXPECT_DOUBLE_EQ(GetEnvDouble("CRN_TEST_VAR", 1.0), 0.25);
-  SetEnv("CRN_TEST_VAR", "nope");
-  EXPECT_DOUBLE_EQ(GetEnvDouble("CRN_TEST_VAR", 1.0), 1.0);
+  for (const char* malformed : {"nope", "nan", "inf", "-inf"}) {
+    SetEnv("CRN_TEST_VAR", malformed);
+    EXPECT_DOUBLE_EQ(GetEnvDouble("CRN_TEST_VAR", 1.0), 1.0) << malformed;
+  }
 }
 
 TEST_F(EnvTest, BoolParsing) {

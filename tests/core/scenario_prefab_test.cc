@@ -60,7 +60,6 @@ TEST(PrefabKeyTest, MacAndSpectrumParametersDoNotKeyThePrefab) {
   changed.alpha = 3.0;
   changed.fairness_wait = false;
   changed.direct_sir_engine = true;
-  changed.reference_scheduler = true;
   EXPECT_EQ(key, PrefabKey::Of(changed, 0));
 }
 

@@ -48,11 +48,17 @@ TEST(FlagParserTest, DefaultsWhenAbsent) {
 }
 
 TEST(FlagParserTest, MalformedValuesReportErrors) {
-  FlagParser flags = Parse({"--n=abc", "--x=1.2.3", "--b=maybe"});
+  // std::stod parses nan/inf; GetDouble must still refuse them.
+  FlagParser flags = Parse({"--n=abc", "--x=1.2.3", "--b=maybe", "--nan=nan",
+                            "--inf=inf", "--ninf=-inf"});
   EXPECT_EQ(flags.GetInt("n", 7), 7);
   EXPECT_DOUBLE_EQ(flags.GetDouble("x", 0.5), 0.5);
   EXPECT_TRUE(flags.GetBool("b", true));
-  EXPECT_EQ(flags.errors().size(), 3u);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("nan", 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("inf", 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("ninf", 0.5), 0.5);
+  ASSERT_EQ(flags.errors().size(), 6u);
+  EXPECT_EQ(flags.errors()[3], "--nan=nan is not a finite number");
 }
 
 TEST(FlagParserTest, UnconsumedFlagsDetected) {

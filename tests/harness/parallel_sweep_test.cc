@@ -283,21 +283,6 @@ TEST(ParallelSweepTest, VerifyPrefabsModeRebuildsAndMatchesEveryHit) {
   EXPECT_EQ(metrics.GetCounter("prefab.verified").value(), 6);
 }
 
-TEST(ParallelSweepTest, LegacyThreadPoolEngineMatchesWorkStealing) {
-  // The A/B contract bench_sweep_scaling relies on: both engines run the
-  // same cells and reduce in the same order, so their digests agree.
-  SweepSpec legacy_spec = TinySpec(4);
-  legacy_spec.engine = ExecutionEngine::kThreadPool;
-  const SweepResult legacy = RunSweep(legacy_spec);
-  const SweepResult stealing = RunSweep(TinySpec(4));
-  ASSERT_NE(legacy.trace_digest, 0u);
-  EXPECT_EQ(legacy.trace_digest, stealing.trace_digest);
-  // Scheduling diagnostics reflect each engine's dispatch shape.
-  EXPECT_EQ(legacy.pool.tasks, stealing.pool.tasks);
-  EXPECT_EQ(legacy.pool.chunks, legacy.pool.tasks);  // one submission per cell
-  EXPECT_EQ(legacy.pool.steals, 0);
-}
-
 TEST(ParallelSweepTest, DigestCollectionDoesNotChangeResults) {
   SweepSpec with_digests = TinySpec(1);
   with_digests.points.resize(1);

@@ -1,0 +1,54 @@
+// Golden run: one audited ADDC collection (n = 200, seed 41) pinned to
+// constants — values the calendar queue and a reference binary heap were
+// shown to agree on at full-stack scale. Any change to event order, RNG
+// stream consumption or scheduler work fails here with a named value; a
+// deliberate re-baseline updates the constants and records why in
+// CHANGES.md. tests/sim/scheduler_fuzz_test.cc checks pop order against a
+// reference heap on synthetic op streams; this test pins the real
+// MAC/routing event mix (slot boundaries, backoff expiries, audit
+// one-shots, snapshot seeding).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "core/collection.h"
+#include "core/invariant_auditor.h"
+#include "core/scenario.h"
+#include "obs/metrics.h"
+
+namespace crn::core {
+namespace {
+
+constexpr std::uint64_t kTraceDigest = 0x15E77B663606AADDULL;
+constexpr std::uint64_t kEventsObserved = 23807;
+constexpr std::int64_t kSchedPushes = 27512;
+constexpr std::int64_t kSchedPops = 23807;
+constexpr std::int64_t kSchedCancels = 3703;
+constexpr std::int64_t kSchedStaleSkips = 3703;
+
+std::int64_t SchedCounter(obs::MetricsRegistry& metrics, const char* name) {
+  return metrics.GetCounter(name, {{"scheduler", "calendar"}}).value();
+}
+
+TEST(GoldenRunTest, AuditedAddcMatchesPinnedValues) {
+  ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.1);  // n = 200
+  config.seed = 41;
+  AuditReport report;
+  obs::MetricsRegistry metrics;
+  RunOptions options;
+  options.audit_report = &report;
+  options.metrics = &metrics;
+  const CollectionResult result = RunAddc(Scenario(config, 0), options);
+
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(report.trace_digest, kTraceDigest)
+      << std::hex << "trace digest 0x" << report.trace_digest;
+  EXPECT_EQ(report.events_observed, kEventsObserved);
+  EXPECT_EQ(SchedCounter(metrics, "perf.sched_pushes"), kSchedPushes);
+  EXPECT_EQ(SchedCounter(metrics, "perf.sched_pops"), kSchedPops);
+  EXPECT_EQ(SchedCounter(metrics, "perf.sched_cancels"), kSchedCancels);
+  EXPECT_EQ(SchedCounter(metrics, "perf.sched_stale_skips"), kSchedStaleSkips);
+}
+
+}  // namespace
+}  // namespace crn::core

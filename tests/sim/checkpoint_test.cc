@@ -107,10 +107,26 @@ TEST(CheckpointFormatTest, WrongMagicIsRejectedWithAnActionableError) {
 
 TEST(CheckpointFormatTest, FutureVersionIsRejectedWithAnActionableError) {
   std::string blob = MakeBlob();
-  blob[8] = 2;  // version field follows the 8-byte magic, little-endian
+  // The version field follows the 8-byte magic, little-endian.
+  blob[8] = static_cast<char>(kCheckpointVersion + 1);
   StateReader reader(blob);
   EXPECT_FALSE(reader.ok());
   EXPECT_NE(reader.error().find("newer than this binary"), std::string::npos)
+      << reader.error();
+}
+
+TEST(CheckpointFormatTest, OlderVersionIsRejectedWithAnActionableError) {
+  // A version-1 envelope (sim.core still carried a scheduler byte) is
+  // well-formed — valid magic and CRCs — so only the version check stands
+  // between it and a silent misparse.
+  std::string blob = MakeBlob();
+  blob[8] = 1;
+  StateReader reader(blob);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_NE(reader.error().find("version 1 is older than this binary"),
+            std::string::npos)
+      << reader.error();
+  EXPECT_NE(reader.error().find("re-create the checkpoint"), std::string::npos)
       << reader.error();
 }
 
@@ -154,16 +170,18 @@ TEST(CheckpointFormatTest, EveryByteFlipFailsCleanly) {
   // The sanitizer corpus proper: whatever a single flipped byte does to the
   // envelope — bogus lengths, huge section counts, corrupt names — the
   // reader must latch an error or parse, and a full read must terminate
-  // without touching memory out of bounds. (A flip in the version field can
-  // legitimately downgrade to an accepted older version, so ok() readers
-  // are allowed; they still must read cleanly.)
+  // without touching memory out of bounds. (A flip in a section name,
+  // which no CRC covers, leaves a well-formed envelope, so ok() readers are
+  // allowed; they still must read cleanly.)
   const std::string pristine = MakeBlob();
   for (std::size_t i = 0; i < pristine.size(); ++i) {
     std::string blob = pristine;
     blob[i] = static_cast<char>(static_cast<unsigned char>(blob[i]) ^ 0xFF);
     StateReader reader(blob);
     ReadEverything(reader);
-    if (!reader.ok()) EXPECT_FALSE(reader.error().empty());
+    if (!reader.ok()) {
+      EXPECT_FALSE(reader.error().empty());
+    }
   }
 }
 

@@ -32,6 +32,7 @@
 #include "mac/trace.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
+#include "sim/checkpoint.h"
 
 namespace {
 
@@ -50,9 +51,6 @@ Scenario (defaults: the paper's Fig. 6 configuration scaled by --scale):
   --pu-power=F --su-power=F --pu-radius=F --su-radius=F
   --eta-p-db=F --eta-s-db=F
   --c2=paper|corrected    PCR constant variant (default paper; see DESIGN.md)
-  --scheduler=calendar|reference  event-queue backend (default calendar; the
-                          reference heap is the determinism A/B check — both
-                          produce bit-identical runs, see DESIGN.md §12)
   --fairness=BOOL         Algorithm 1 line-12 wait (default true)
   --seed=INT --reps=INT   reproducibility (defaults 0x5EEDADDC, 1)
 
@@ -186,13 +184,6 @@ int main(int argc, char** argv) {
   const std::string c2 = flags.GetString("c2", "paper");
   config.c2_variant =
       c2 == "corrected" ? core::C2Variant::kCorrected : core::C2Variant::kPaper;
-  const std::string scheduler = flags.GetString("scheduler", "calendar");
-  if (scheduler != "calendar" && scheduler != "reference") {
-    std::cerr << "error: --scheduler must be calendar or reference, got '"
-              << scheduler << "'\n";
-    return 2;
-  }
-  config.reference_scheduler = scheduler == "reference";
 
   const std::string algorithm = flags.GetString("algorithm", "both");
   const std::string metric_name = flags.GetString("metric", "accumulated");
@@ -294,6 +285,14 @@ int main(int argc, char** argv) {
       std::ostringstream buffer;
       buffer << in.rdbuf();
       restore_blob = buffer.str();
+      // A corrupt file or another format version is an input error: report
+      // it and exit 2 rather than failing inside the restore.
+      const sim::StateReader envelope(restore_blob);
+      if (!envelope.ok()) {
+        std::cerr << "error: " << restore_path << ": " << envelope.error()
+                  << "\n";
+        return 2;
+      }
       options.restore_blob = &restore_blob;
     }
     if (!checkpoint_out.empty()) {
@@ -500,7 +499,6 @@ int main(int argc, char** argv) {
          << " pt=" << config.pu_activity
          << " burst=" << config.pu_mean_burst_slots
          << " alpha=" << config.alpha << " c2=" << c2
-         << " scheduler=" << scheduler
          << " fairness=" << config.fairness_wait
          << " algorithm=" << algorithm << " metric=" << metric_name
          << " reps=" << reps << " csv=" << csv << " audit=" << audit
@@ -632,9 +630,7 @@ int main(int argc, char** argv) {
         for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
           next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
         }
-        sim::Simulator simulator(config.reference_scheduler
-                                     ? sim::SchedulerKind::kReference
-                                     : sim::SchedulerKind::kCalendar);
+        sim::Simulator simulator;
         pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
         mac::MacConfig mac_config;
         mac_config.pcr = scenario.pcr();

@@ -27,10 +27,9 @@ Checks, without any third-party dependency:
     This is the gate for deterministic cache accounting (prefab.hits/
     misses/bytes): any drift means the keying rule or the fold changed.
   * --verify-digests — every sweep whose title starts with "engine
-    verification" or "scheduler verification" must carry the same
-    addc_trace_digest on all its points (the cached-vs-direct and
-    calendar-vs-reference bit-identity contracts, re-checked from the
-    artifact).
+    verification" must carry the same addc_trace_digest on all its points
+    (the cached-vs-direct and prefab-vs-rebuild bit-identity contracts,
+    re-checked from the artifact).
   * --min-term-ratio R — at the largest n among "... (cached)"/"... (direct)"
     timing-sweep pairs, direct/cached perf.sir_terms_evaluated must be >= R.
   * --max-wall-ratio R — for every sweep title present in both files,
@@ -218,7 +217,7 @@ def check_exact(baseline: dict, current: dict, keys: list[str]) -> list[str]:
     return problems
 
 
-VERIFICATION_TITLE_PREFIXES = ("engine verification", "scheduler verification")
+VERIFICATION_TITLE_PREFIXES = ("engine verification",)
 
 
 def check_digests(current: dict) -> list[str]:

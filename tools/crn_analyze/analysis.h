@@ -1,7 +1,7 @@
 // Core vocabulary types shared by every crn_analyze pass.
 //
-// crn_analyze promotes the original line-regex checker (tools/crn_lint.cc,
-// kept as a fallback) into a small multi-pass framework: a real tokenizer
+// crn_analyze is the repo's static checker, a small multi-pass framework
+// grown from an earlier line-regex linter: a real tokenizer
 // feeds per-file rules, and whole-tree passes (include-graph layering,
 // determinism taint, concurrency discipline) see across file boundaries.
 // Every pass reports through the same Finding type so baselining, SARIF

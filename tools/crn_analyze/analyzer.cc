@@ -200,8 +200,8 @@ AnalyzeResult AnalyzeTree(const std::string& root,
 
 int RunSelfTest(const std::string& root) {
   const fs::path root_path(root);
-  // The migrated rules share the legacy checker's fixtures — one source of
-  // truth for both binaries; the new passes have their own fixture set.
+  // The per-line rules that began in the line-regex checker keep their
+  // fixtures in tools/lint_fixtures/; the later passes have their own set.
   const fs::path legacy_fixtures = root_path / "tools" / "lint_fixtures";
   const fs::path analyze_fixtures =
       root_path / "tools" / "crn_analyze" / "fixtures";

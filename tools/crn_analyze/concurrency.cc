@@ -64,15 +64,15 @@ std::vector<Finding> RunConcurrencyDisciplinePass(const SourceFile& file) {
     const Token& token = tokens[i];
     if (token.kind != TokenKind::kIdentifier) continue;
 
-    // Mutable static / thread_local state: every RunSweep cell callback and
-    // ThreadPool job in the process can reach it, so it is both a data race
+    // Mutable static / thread_local state: every RunSweep cell callback on
+    // every worker thread in the process can reach it, so it is both a data race
     // and a determinism leak across --jobs values.
     if ((token.text == "static" || token.text == "thread_local") &&
         IsMutableVariableDecl(tokens, i)) {
       add(token.line,
           "mutable " + token.text +
-              " state is shared across ParallelRunner cells and ThreadPool "
-              "jobs (data race + determinism leak across --jobs); pass "
+              " state is shared across ParallelRunner cells on every worker "
+              "thread (data race + determinism leak across --jobs); pass "
               "state through the cell's context instead");
     }
 
@@ -84,7 +84,7 @@ std::vector<Finding> RunConcurrencyDisciplinePass(const SourceFile& file) {
         IsPunct(tokens[i + 1], '(') && IsPunct(tokens[i + 2], '[') &&
         IsPunct(tokens[i + 3], '&')) {
       add(token.line,
-          "by-reference capture submitted to the ThreadPool shares mutable "
+          "by-reference capture submitted to a thread pool shares mutable "
           "locals across jobs; capture by value, or justify with "
           "crn-lint-ok why every by-ref capture is safe");
     }

@@ -1,5 +1,5 @@
 // Analyzer fixture (logical path src/harness/bad_capture.cc): a lambda
-// with a by-reference capture submitted straight to the ThreadPool shares
+// with a by-reference capture submitted straight to a thread pool shares
 // mutable locals across jobs — [concurrency-discipline] must fire on the
 // Submit call.
 #include <vector>

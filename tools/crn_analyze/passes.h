@@ -10,7 +10,7 @@
 //   concurrency-discipline  mutable static / thread_local state reachable
 //                           from ParallelRunner cell callbacks, and
 //                           by-reference lambda captures submitted straight
-//                           to the ThreadPool.
+//                           to a thread pool's Submit().
 //
 // Both passes scan src/ only: tests and benches may freely use pointers,
 // wall clocks, and shared state for their own bookkeeping.

@@ -255,13 +255,10 @@ std::vector<Finding> RunFileRules(const SourceFile& file) {
       // exactly the overhead the work-stealing engine removed (chunks are
       // pre-materialized into one flat array). Taking a caller's callback
       // by const std::function& is fine — one object per fan-out, no
-      // per-cell construction — so reference parameters are exempt. The
-      // legacy ThreadPool's per-job queue is intentional (it is the A/B
-      // comparison baseline) and lives in the committed baseline file.
+      // per-cell construction — so reference parameters are exempt.
       const bool in_dispatch =
           StartsWith(logical_path, "src/harness/") &&
-          (logical_path.find("thread_pool") != std::string::npos ||
-           logical_path.find("work_stealing") != std::string::npos ||
+          (logical_path.find("work_stealing") != std::string::npos ||
            logical_path.find("parallel_runner") != std::string::npos);
       if (in_dispatch) {
         const std::size_t fn_pos = line.find("std::function");

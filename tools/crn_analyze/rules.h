@@ -1,15 +1,11 @@
-// The ten rules migrated from the legacy line-regex checker (crn_lint),
-// now matching against tokenizer-scrubbed text so multi-line raw strings,
-// block comments, and spliced lines can never leak literal content into a
-// match — plus the suppression-justification rule that keeps `crn-lint-ok`
-// markers honest.
-//
-// Rule ids and semantics are unchanged from crn_lint so existing inline
-// suppressions keep working:
+// The per-line rules, matching against tokenizer-scrubbed text so
+// multi-line raw strings, block comments, and spliced lines can never leak
+// literal content into a match. The first ten began as a line-regex
+// checker; their ids are what `crn-lint-ok` inline suppressions name:
 //   banned-rng, wall-clock, raw-db-conversion, unordered-iteration,
 //   float-in-physics, shared-mutable-rng, header-guard, throw-in-callback,
 //   hot-path-math, library-io
-// plus (new in crn_analyze):
+// plus:
 //   suppression-justification — a `crn-lint-ok` marker without a
 //   `crn-lint-ok: <reason>` justification is itself a finding, and is
 //   exempt from suppression (a bare marker cannot silence itself).
@@ -21,12 +17,11 @@
 //   lines of the call), so flight-recorder dumps, sched.* metrics, and
 //   crn_trace causal chains decode to meaningful names instead of
 //   "unnamed".
-//   hot-path-alloc — the src/harness dispatch files (thread_pool,
-//   work_stealing, parallel_runner) must not construct std::function or
-//   heap-allocate (new / make_unique / make_shared) per cell; work is
-//   pre-materialized into flat arrays and callbacks travel by
-//   const std::function& (one object per fan-out). The legacy ThreadPool's
-//   per-job queue is baseline-justified as the A/B comparison engine.
+//   hot-path-alloc — the src/harness dispatch files (work_stealing,
+//   parallel_runner) must not construct std::function or heap-allocate
+//   (new / make_unique / make_shared) per cell; work is pre-materialized
+//   into flat arrays and callbacks travel by const std::function& (one
+//   object per fan-out).
 //   raw-artifact-write — src/ code must not open files for writing
 //   directly (std::ofstream / fopen); artifacts render to a string and
 //   land through harness::WriteFileAtomic (harness/atomic_file.h) so a

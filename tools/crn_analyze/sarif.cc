@@ -41,7 +41,7 @@ const std::map<std::string, std::string>& RuleDescriptions() {
       {"determinism-taint",
        "no simulation state derived from pointer identity or wall clocks"},
       {"concurrency-discipline",
-       "no mutable shared state across ThreadPool jobs"},
+       "no mutable shared state across parallel cells"},
   };
   return kRules;
 }

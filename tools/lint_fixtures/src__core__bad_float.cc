@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/core/bad_float.cc): float in physics code.
-// crn_lint --self-test requires [float-in-physics] to fire here.
+// crn_analyze --self-test requires [float-in-physics] to fire here.
 namespace crn::core {
 
 float BadPathLoss(float distance) { return 1.0f / (distance * distance); }

@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/geom/bad_guard.h): include guard that does
-// not match the header's path. crn_lint --self-test requires [header-guard]
+// not match the header's path. crn_analyze --self-test requires [header-guard]
 // to fire here (expected guard: CRN_GEOM_BAD_GUARD_H_).
 #ifndef CRN_WRONG_GUARD_H_
 #define CRN_WRONG_GUARD_H_

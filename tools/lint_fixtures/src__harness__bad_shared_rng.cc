@@ -1,6 +1,6 @@
 // Lint fixture (logical path src/harness/bad_shared_rng.cc): a mutable
 // process-wide generator shared by every worker thread of the parallel
-// runner. crn_lint --self-test requires [shared-mutable-rng] to fire here.
+// runner. crn_analyze --self-test requires [shared-mutable-rng] to fire here.
 #include "common/rng.h"
 
 namespace crn::harness {

@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/mac/bad_hot_math.cc): per-event geometry
-// math in the SIR hot path. crn_lint --self-test requires [hot-path-math]
+// math in the SIR hot path. crn_analyze --self-test requires [hot-path-math]
 // to fire here — on the pow() call and on the unsquared Distance() call;
 // DistanceSquared() on the last line must NOT fire.
 #include <cmath>

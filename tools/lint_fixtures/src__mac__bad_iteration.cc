@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/mac/bad_iteration.cc): iterating an
-// unordered container into simulation-visible state. crn_lint --self-test
+// unordered container into simulation-visible state. crn_analyze --self-test
 // requires [unordered-iteration] to fire here.
 #include <cstdint>
 #include <unordered_set>

@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/sim/bad_clock.cc): wall-clock reads inside
-// simulation code. crn_lint --self-test requires [wall-clock] to fire here.
+// simulation code. crn_analyze --self-test requires [wall-clock] to fire here.
 #include <chrono>
 #include <cstdint>
 

@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/spectrum/bad_db.cc): raw dB-to-linear
-// conversion bypassing common/units.h. crn_lint --self-test requires
+// conversion bypassing common/units.h. crn_analyze --self-test requires
 // [raw-db-conversion] to fire here.
 #include <cmath>
 
