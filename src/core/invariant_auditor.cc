@@ -33,9 +33,9 @@ void InvariantAuditor::Attach(sim::Simulator& simulator, mac::CollectionMac& mac
   if (config_.check_event_time) {
     time_auditor_.Attach(simulator);
   }
-  mac.AddTxStartObserver(
-      [this](mac::NodeId transmitter, mac::NodeId receiver, sim::TimeNs start,
-             sim::TimeNs end) { OnTxStart(transmitter, receiver, start, end); });
+  mac.AddLifecycleObserver([this](const mac::LifecycleEvent& event) {
+    if (event.kind == mac::LifecycleEvent::Kind::kTxStarted) OnTxStart(event.node);
+  });
   mac.AddTxObserver([this](const mac::TxEvent& event) { OnTxEnd(event); });
 }
 
@@ -52,11 +52,7 @@ void InvariantAuditor::BindMetrics(obs::MetricsRegistry& registry) {
       &registry.GetCounter("audit.violations_total", {{"invariant", "routing"}});
 }
 
-void InvariantAuditor::OnTxStart(mac::NodeId transmitter, mac::NodeId receiver,
-                                 sim::TimeNs start, sim::TimeNs end) {
-  (void)receiver;
-  (void)start;
-  (void)end;
+void InvariantAuditor::OnTxStart(mac::NodeId transmitter) {
   ++report_.tx_starts;
   const geom::Vec2 position = mac_->position(transmitter);
   if (config_.check_min_separation) {

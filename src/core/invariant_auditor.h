@@ -148,8 +148,7 @@ class InvariantAuditor {
     geom::Vec2 position;
   };
 
-  void OnTxStart(mac::NodeId transmitter, mac::NodeId receiver, sim::TimeNs start,
-                 sim::TimeNs end);
+  void OnTxStart(mac::NodeId transmitter);
   void OnTxEnd(const mac::TxEvent& event);
   void CheckPuProtection();
   void RecordViolation(std::string message);

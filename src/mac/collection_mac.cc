@@ -350,9 +350,6 @@ void CollectionMac::BeginContention(NodeId node) {
   agent_pu_busy_[node] = SensePuBusy(node) ? 1 : 0;
   agent_su_busy_[node] = ComputeSuBusyCount(node);
   UpdateFreezeState(node);
-  for (const auto& observer : contention_observers_) {
-    observer(node, simulator_.now());
-  }
 }
 
 void CollectionMac::LeaveContention(NodeId node) {
@@ -542,14 +539,11 @@ void CollectionMac::StartTransmission(NodeId node) {
   }
 
   const bool announced_now = tx.announced;
-  const sim::TimeNs tx_start = tx.start;
-  const sim::TimeNs tx_end = tx.end;
   active_tx_slot_[node] = static_cast<std::int32_t>(active_tx_.size());
   active_tx_.push_back(std::move(tx));
   ++stats_.attempts;
-  for (const auto& observer : tx_start_observers_) {
-    observer(node, receiver, tx_start, tx_end);
-  }
+  EmitLifecycle(LifecycleEvent::Kind::kTxStarted, node,
+                &agents_[node].queue.front(), receiver);
 
   if (announced_now) NotifySensorsTxStart(node);
   // A new interferer appeared: refresh the SIR floor of every ongoing
@@ -914,7 +908,7 @@ void CollectionMac::DeliverOrEnqueue(NodeId receiver, const Packet& packet) {
 
 void CollectionMac::EmitTxEvent(const Transmission& tx, TxOutcome outcome,
                                 const Packet& packet) {
-  if (observers_.empty()) return;
+  if (tx_observers_.empty()) return;
   TxEvent event;
   event.transmitter = tx.transmitter;
   event.receiver = tx.receiver;
@@ -923,7 +917,7 @@ void CollectionMac::EmitTxEvent(const Transmission& tx, TxOutcome outcome,
   event.outcome = outcome;
   event.packet = packet;
   event.min_sir = tx.min_sir;
-  for (const auto& observer : observers_) observer(event);
+  for (const auto& observer : tx_observers_) observer(event);
 }
 
 void CollectionMac::EmitLifecycle(LifecycleEvent::Kind kind, NodeId node,

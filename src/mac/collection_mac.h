@@ -199,33 +199,22 @@ class CollectionMac {
     return success_tx_count_;
   }
 
-  // Observers fire when a transmission attempt terminates (any outcome) —
-  // used by tests (Theorem 1 fairness property) and detailed metrics.
+  // Two observer channels, one per record type (packet.h). Both are
+  // zero-cost when nothing is attached: the emit helpers bail out before
+  // building the record.
+  //
+  // Completed-attempt channel: fires when a transmission attempt terminates
+  // (any outcome) — the attempt history the span tracer and the invariant
+  // auditor's trace digest record.
   void AddTxObserver(std::function<void(const TxEvent&)> observer) {
-    observers_.push_back(std::move(observer));
+    tx_observers_.push_back(std::move(observer));
   }
 
-  // Fires when a node sets a fresh backoff timer (Algorithm 1 line 3) —
-  // the reference instant of Theorem 1's property 𝔓.
-  void AddContentionObserver(std::function<void(NodeId, sim::TimeNs)> observer) {
-    contention_observers_.push_back(std::move(observer));
-  }
-
-  // Fires the instant a transmission goes on the air, before any outcome is
-  // known; paired with the TxEvent observer above this brackets every
-  // attempt. The invariant auditor (core/invariant_auditor.h) uses the pair
-  // to track the concurrently active transmitter set.
-  void AddTxStartObserver(
-      std::function<void(NodeId transmitter, NodeId receiver, sim::TimeNs start,
-                         sim::TimeNs end)>
-          observer) {
-    tx_start_observers_.push_back(std::move(observer));
-  }
-
-  // Fires on every packet/contention lifecycle transition (packet.h's
-  // LifecycleEvent) — the observability layer's feed. Zero-cost when no
-  // observer is attached: the emit helper bails out before building the
-  // event, exactly like EmitTxEvent.
+  // Lifecycle channel: fires on every packet/contention transition. Its
+  // kContentionStarted instant is Theorem 1's reference point for property
+  // 𝔓; kTxStarted fires the instant a transmission goes on the air, so with
+  // the matching TxEvent it brackets every attempt (the invariant auditor's
+  // concurrently-active transmitter set).
   void AddLifecycleObserver(std::function<void(const LifecycleEvent&)> observer) {
     lifecycle_observers_.push_back(std::move(observer));
   }
@@ -468,10 +457,7 @@ class CollectionMac {
   };
   std::vector<NodeId> seed_producers_;
   std::vector<PendingSeed> pending_seeds_;
-  std::vector<std::function<void(const TxEvent&)>> observers_;
-  std::vector<std::function<void(NodeId, sim::TimeNs)>> contention_observers_;
-  std::vector<std::function<void(NodeId, NodeId, sim::TimeNs, sim::TimeNs)>>
-      tx_start_observers_;
+  std::vector<std::function<void(const TxEvent&)>> tx_observers_;
   std::vector<std::function<void(const LifecycleEvent&)>> lifecycle_observers_;
 
   MacStats stats_;

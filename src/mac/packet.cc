@@ -36,6 +36,8 @@ const char* ToString(LifecycleEvent::Kind kind) {
       return "resumed";
     case LifecycleEvent::Kind::kDeferred:
       return "deferred";
+    case LifecycleEvent::Kind::kTxStarted:
+      return "tx-started";
     case LifecycleEvent::Kind::kSlotBoundary:
       return "slot-boundary";
   }

@@ -45,11 +45,13 @@ struct TxEvent {
   double min_sir = 0.0;  // +inf when unopposed
 };
 
-// Observer record for the packet/contention lifecycle — the feed the
-// observability layer (obs::PacketSpanTracer, obs::MacMetricsCollector)
-// consumes. Together with TxEvent/tx-start observers it covers a packet's
-// whole life: created → enqueued per hop → contention (backoff, freeze,
-// resume, defer) → transmit → delivered or dropped.
+// Observer record for the packet/contention lifecycle — one of the MAC's
+// two observer channels (collection_mac.h); TxEvent is the other. The
+// observability layer (obs::PacketSpanTracer, obs::MacMetricsCollector) and
+// the invariant auditor consume it. Together with TxEvent it covers a
+// packet's whole life: created → enqueued per hop → contention (backoff,
+// freeze, resume, defer) → on the air (kTxStarted) → attempt outcome
+// (TxEvent) → delivered or dropped.
 struct LifecycleEvent {
   enum class Kind : std::uint8_t {
     kPacketCreated,      // seeded at its origin; value = queue depth after
@@ -60,19 +62,20 @@ struct LifecycleEvent {
     kFrozen,             // countdown paused (busy spectrum); value = remaining ns
     kResumed,            // countdown resumed (free spectrum); value = remaining ns
     kDeferred,           // slot-aware hold until the boundary; value = hold ns
+    kTxStarted,          // on the air; node = transmitter, value = receiver
     kSlotBoundary,       // PU re-sample; node = -1, value = active PU count
   };
 
   Kind kind = Kind::kSlotBoundary;
   NodeId node = graph::kInvalidNode;
   sim::TimeNs time = 0;
-  // Valid for the four packet kinds and kContentionStarted (queue head).
+  // Valid for the four packet kinds, kContentionStarted and kTxStarted
+  // (queue head).
   Packet packet;
   std::int64_t value = 0;  // kind-specific, see above
 };
 
 const char* ToString(LifecycleEvent::Kind kind);
-inline constexpr std::int32_t kLifecycleKindCount = 9;
 
 }  // namespace crn::mac
 

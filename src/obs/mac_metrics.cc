@@ -109,6 +109,8 @@ void MacMetricsCollector::OnLifecycle(const mac::LifecycleEvent& event) {
     case Kind::kDeferred:
       slot_defers_->Add();
       break;
+    case Kind::kTxStarted:
+      break;
     case Kind::kSlotBoundary:
       slots_->Add();
       ++slots_seen_;

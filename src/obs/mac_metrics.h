@@ -1,7 +1,8 @@
-// MacMetricsCollector — bridges the MAC's lifecycle/TxEvent feeds into a
-// MetricsRegistry. Instrument handles are resolved once at Attach, so the
-// per-event cost is a few integer bumps; with no collector attached the MAC
-// pays nothing at all (collection_mac.h's empty-observer early-out).
+// MacMetricsCollector — bridges the MAC's two observer channels (lifecycle
+// and completed-attempt TxEvent, collection_mac.h) into a MetricsRegistry.
+// Instrument handles are resolved once at Attach, so the per-event cost is a
+// few integer bumps; with no collector attached the MAC pays nothing at all
+// (collection_mac.h's empty-observer early-out).
 //
 // Registry naming scheme (DESIGN.md §"Observability"):
 //   <subsystem>.<measure>[_<unit>][{label=value,...}]

@@ -1,5 +1,6 @@
 #include "obs/span_tracer.h"
 
+#include <cmath>
 #include <string>
 
 #include "sim/audit.h"
@@ -15,7 +16,8 @@ void PacketSpanTracer::Attach(mac::CollectionMac& mac) {
   freeze_begin_.assign(static_cast<std::size_t>(mac.node_count()), -1);
   mac.AddLifecycleObserver(
       [this](const mac::LifecycleEvent& event) { OnLifecycle(event); });
-  mac.AddTxObserver([this](const mac::TxEvent& event) { OnTxEvent(event); });
+  mac.AddTxObserver(
+      [this](const mac::TxEvent& event) { attempts_.push_back(event); });
 }
 
 void PacketSpanTracer::OnLifecycle(const mac::LifecycleEvent& event) {
@@ -68,21 +70,10 @@ void PacketSpanTracer::OnLifecycle(const mac::LifecycleEvent& event) {
       break;
     }
     case Kind::kDeferred:
+    case Kind::kTxStarted:
     case Kind::kSlotBoundary:
       break;
   }
-}
-
-void PacketSpanTracer::OnTxEvent(const mac::TxEvent& event) {
-  Attempt attempt;
-  attempt.transmitter = event.transmitter;
-  attempt.receiver = event.receiver;
-  attempt.start = event.start;
-  attempt.end = event.end;
-  attempt.outcome = event.outcome;
-  attempt.packet_origin = event.packet.origin;
-  attempt.packet_snapshot = event.packet.snapshot;
-  attempts_.push_back(attempt);
 }
 
 std::uint64_t PacketSpanTracer::Digest() const {
@@ -99,14 +90,14 @@ std::uint64_t PacketSpanTracer::Digest() const {
       digest.MixSigned(hop.queue_depth);
     }
   }
-  for (const Attempt& attempt : attempts_) {
+  for (const mac::TxEvent& attempt : attempts_) {
     digest.MixSigned(attempt.transmitter);
     digest.MixSigned(attempt.receiver);
     digest.MixSigned(attempt.start);
     digest.MixSigned(attempt.end);
     digest.Mix(static_cast<std::uint64_t>(attempt.outcome));
-    digest.MixSigned(attempt.packet_origin);
-    digest.MixSigned(attempt.packet_snapshot);
+    digest.MixSigned(attempt.packet.origin);
+    digest.MixSigned(attempt.packet.snapshot);
   }
   for (const FreezeSpan& freeze : freezes_) {
     digest.MixSigned(freeze.node);
@@ -158,7 +149,7 @@ std::vector<ChromeTraceEvent> PacketSpanTracer::ToChromeEvents() const {
       events.push_back(std::move(end));
     }
   }
-  for (const Attempt& attempt : attempts_) {
+  for (const mac::TxEvent& attempt : attempts_) {
     ChromeTraceEvent tx;
     tx.name = std::string("tx:") + mac::ToString(attempt.outcome);
     tx.category = "tx";
@@ -167,8 +158,8 @@ std::vector<ChromeTraceEvent> PacketSpanTracer::ToChromeEvents() const {
     tx.dur_us = ToMicros(attempt.end - attempt.start);
     tx.tid = attempt.transmitter;
     tx.args.emplace_back("receiver", std::to_string(attempt.receiver));
-    tx.args.emplace_back("origin", std::to_string(attempt.packet_origin));
-    tx.args.emplace_back("snapshot", std::to_string(attempt.packet_snapshot));
+    tx.args.emplace_back("origin", std::to_string(attempt.packet.origin));
+    tx.args.emplace_back("snapshot", std::to_string(attempt.packet.snapshot));
     events.push_back(std::move(tx));
   }
   for (const FreezeSpan& freeze : freezes_) {
@@ -186,6 +177,53 @@ std::vector<ChromeTraceEvent> PacketSpanTracer::ToChromeEvents() const {
 
 void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
   obs::WriteChromeTrace(ToChromeEvents(), out);
+}
+
+void PacketSpanTracer::WriteAttemptCsv(std::ostream& out) const {
+  out << "start_ms,end_ms,transmitter,receiver,outcome,origin,snapshot,hops,min_sir\n";
+  for (const mac::TxEvent& event : attempts_) {
+    out << sim::ToMilliseconds(event.start) << "," << sim::ToMilliseconds(event.end)
+        << "," << event.transmitter << "," << event.receiver << ","
+        << mac::ToString(event.outcome) << "," << event.packet.origin << ","
+        << event.packet.snapshot << "," << event.packet.hops << ",";
+    if (std::isinf(event.min_sir)) {
+      out << "inf";
+    } else {
+      out << event.min_sir;
+    }
+    out << "\n";
+  }
+}
+
+AttemptSummary SummarizeAttempts(const std::vector<mac::TxEvent>& attempts) {
+  AttemptSummary summary;
+  summary.attempts = static_cast<std::int64_t>(attempts.size());
+  sim::TimeNs airtime = 0;
+  sim::TimeNs useful = 0;
+  bool first = true;
+  for (const mac::TxEvent& event : attempts) {
+    ++summary.per_outcome[static_cast<std::int32_t>(event.outcome)];
+    const sim::TimeNs duration = event.end - event.start;
+    airtime += duration;
+    if (event.outcome == mac::TxOutcome::kSuccess) useful += duration;
+    if (first || event.start < summary.first_start) summary.first_start = event.start;
+    if (event.end > summary.last_end) summary.last_end = event.end;
+    first = false;
+  }
+  // airtime can legitimately be zero with a non-empty trace (every attempt
+  // sharing one instant); the guard keeps the fraction 0 instead of NaN.
+  if (airtime > 0) {
+    summary.useful_airtime_fraction =
+        static_cast<double>(useful) / static_cast<double>(airtime);
+  }
+  if (summary.attempts > 0) {
+    for (std::int32_t outcome = 0; outcome < mac::kTxOutcomeCount; ++outcome) {
+      summary.per_outcome_fraction[outcome] =
+          static_cast<double>(summary.per_outcome[outcome]) /
+          static_cast<double>(summary.attempts);
+    }
+  }
+  return summary;
 }
 
 }  // namespace crn::obs

@@ -1,11 +1,12 @@
 // Packet-lifecycle span tracer — the second half of the observability
-// layer. Attached to a CollectionMac it records, in simulation time, one
-// span per packet (created → delivered/dropped, with every relay enqueue in
-// between), one span per transmission attempt, and one span per
+// layer and the simulator's one packet-history recorder. Attached to a
+// CollectionMac it records, in simulation time, one span per packet
+// (created → delivered/dropped, with every relay enqueue in between), every
+// transmission attempt as the MAC's own TxEvent, and one span per
 // carrier-sense freeze interval. The in-memory records are exact (TimeNs),
-// so a packet's delivery delay can be reconstructed to the nanosecond; the
-// Chrome trace-event export (chrome_trace.h) renders the same records for
-// chrome://tracing / Perfetto.
+// so a packet's delivery delay can be reconstructed to the nanosecond. Two
+// exporters render them: the Chrome trace-event JSON (chrome_trace.h) for
+// chrome://tracing / Perfetto, and a per-attempt CSV for gnuplot/pandas.
 //
 // Determinism: records are stored in emission order (packets keyed by a
 // sorted map), timestamps are simulation time only, and Digest() folds
@@ -52,17 +53,6 @@ class PacketSpanTracer {
     }
   };
 
-  // One transmission attempt (any outcome), as seen by the TxEvent feed.
-  struct Attempt {
-    mac::NodeId transmitter = -1;
-    mac::NodeId receiver = -1;
-    sim::TimeNs start = 0;
-    sim::TimeNs end = 0;
-    mac::TxOutcome outcome = mac::TxOutcome::kSuccess;
-    mac::NodeId packet_origin = -1;
-    std::int32_t packet_snapshot = 0;
-  };
-
   // One closed carrier-sense freeze interval (backoff countdown paused).
   struct FreezeSpan {
     mac::NodeId node = -1;
@@ -84,7 +74,10 @@ class PacketSpanTracer {
   [[nodiscard]] const std::map<std::uint64_t, PacketSpan>& packets() const {
     return packets_;
   }
-  [[nodiscard]] const std::vector<Attempt>& attempts() const { return attempts_; }
+  // Every transmission attempt (any outcome), in termination order.
+  [[nodiscard]] const std::vector<mac::TxEvent>& attempts() const {
+    return attempts_;
+  }
   [[nodiscard]] const std::vector<FreezeSpan>& freezes() const { return freezes_; }
 
   // Order-sensitive FNV-1a digest over every recorded span. Simulation-time
@@ -97,16 +90,39 @@ class PacketSpanTracer {
   [[nodiscard]] std::vector<ChromeTraceEvent> ToChromeEvents() const;
   void WriteChromeTrace(std::ostream& out) const;
 
+  // One row per transmission attempt:
+  // start_ms,end_ms,transmitter,receiver,outcome,origin,snapshot,hops,min_sir
+  // (min_sir prints "inf" for unopposed receptions).
+  void WriteAttemptCsv(std::ostream& out) const;
+
  private:
   void OnLifecycle(const mac::LifecycleEvent& event);
-  void OnTxEvent(const mac::TxEvent& event);
 
   std::map<std::uint64_t, PacketSpan> packets_;
-  std::vector<Attempt> attempts_;
+  std::vector<mac::TxEvent> attempts_;
   std::vector<FreezeSpan> freezes_;
   // Per-node open freeze interval start (-1 = not frozen); grown lazily.
   std::vector<sim::TimeNs> freeze_begin_;
 };
+
+// Aggregate view of an attempt history — PacketSpanTracer::attempts() or a
+// synthetic trace.
+struct AttemptSummary {
+  std::int64_t attempts = 0;
+  std::int64_t per_outcome[mac::kTxOutcomeCount] = {};
+  // per_outcome / attempts; all zeros when the trace is empty.
+  double per_outcome_fraction[mac::kTxOutcomeCount] = {};
+  // Valid whenever attempts > 0 — including the degenerate trace where
+  // every attempt shares one timestamp (first_start == last_end).
+  sim::TimeNs first_start = 0;
+  sim::TimeNs last_end = 0;
+  // Airtime efficiency: fraction of transmission time that carried a
+  // packet which ultimately succeeded. 0 (never NaN) when the trace is
+  // empty or every attempt has zero duration.
+  double useful_airtime_fraction = 0.0;
+};
+[[nodiscard]] AttemptSummary SummarizeAttempts(
+    const std::vector<mac::TxEvent>& attempts);
 
 }  // namespace crn::obs
 

@@ -15,6 +15,7 @@
 #include "core/invariant_auditor.h"
 #include "core/scenario.h"
 #include "obs/metrics.h"
+#include "obs/span_tracer.h"
 
 namespace crn::core {
 namespace {
@@ -25,6 +26,9 @@ constexpr std::int64_t kSchedPushes = 27512;
 constexpr std::int64_t kSchedPops = 23807;
 constexpr std::int64_t kSchedCancels = 3703;
 constexpr std::int64_t kSchedStaleSkips = 3703;
+// Packet-history pins for the same run with the span tracer attached.
+constexpr std::uint64_t kSpanDigest = 0x0E31BF52FF759A34ULL;
+constexpr std::int64_t kAttempts = 1135;
 
 std::int64_t SchedCounter(obs::MetricsRegistry& metrics, const char* name) {
   return metrics.GetCounter(name, {{"scheduler", "calendar"}}).value();
@@ -48,6 +52,27 @@ TEST(GoldenRunTest, AuditedAddcMatchesPinnedValues) {
   EXPECT_EQ(SchedCounter(metrics, "perf.sched_pops"), kSchedPops);
   EXPECT_EQ(SchedCounter(metrics, "perf.sched_cancels"), kSchedCancels);
   EXPECT_EQ(SchedCounter(metrics, "perf.sched_stale_skips"), kSchedStaleSkips);
+}
+
+TEST(GoldenRunTest, AuditedAddcSpanDigestMatchesPinnedValues) {
+  ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.1);  // n = 200
+  config.seed = 41;
+  AuditReport report;
+  obs::PacketSpanTracer spans;
+  RunOptions options;
+  options.audit_report = &report;
+  options.spans = &spans;
+  const CollectionResult result = RunAddc(Scenario(config, 0), options);
+
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(spans.Digest(), kSpanDigest)
+      << std::hex << "span digest 0x" << spans.Digest();
+  EXPECT_EQ(static_cast<std::int64_t>(spans.attempts().size()), kAttempts);
+  EXPECT_EQ(result.mac.attempts, kAttempts);
+  // The tracer shares the MAC's observer channels with the auditor and must
+  // leave its trace digest alone.
+  EXPECT_EQ(report.trace_digest, kTraceDigest)
+      << std::hex << "trace digest 0x" << report.trace_digest;
 }
 
 }  // namespace

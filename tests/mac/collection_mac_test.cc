@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -193,6 +194,60 @@ TEST(CollectionMacTest, DeterministicAcrossRuns) {
                            h.mac.stats().outcomes[0]);
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(CollectionMacTest, TxStartedBracketsEveryAttempt) {
+  // The invariant auditor tracks the concurrently active transmitter set
+  // from kTxStarted (lifecycle channel) to the matching TxEvent (completed-
+  // attempt channel). Boundary-crossing airtime under two PUs makes
+  // spectrum handoffs likely, so aborted attempts are bracketed too.
+  MacConfig config = BasicConfig();
+  config.tx_duration = config.slot;
+  config.slot_aware_defer = false;
+  config.max_sim_time = 120 * sim::kSecond;
+  std::vector<Vec2> sus;
+  std::vector<NodeId> next_hop;
+  for (int i = 0; i < 12; ++i) {
+    sus.push_back({10.0 + 7.0 * i, 50.0});
+    next_hop.push_back(i == 0 ? 0 : i - 1);
+  }
+  Harness h(sus, next_hop, {{30, 55}, {70, 45}}, 0.3, config);
+
+  struct OnAir {
+    NodeId transmitter;
+    NodeId receiver;
+    sim::TimeNs start;
+  };
+  std::vector<OnAir> on_air;  // started, outcome not yet reported
+  std::int64_t started = 0;
+  std::int64_t completed = 0;
+  std::int64_t unbracketed = 0;
+  h.mac.AddLifecycleObserver([&](const LifecycleEvent& event) {
+    if (event.kind != LifecycleEvent::Kind::kTxStarted) return;
+    ++started;
+    on_air.push_back({event.node, static_cast<NodeId>(event.value), event.time});
+  });
+  h.mac.AddTxObserver([&](const TxEvent& event) {
+    ++completed;
+    const auto it = std::find_if(on_air.begin(), on_air.end(), [&](const OnAir& tx) {
+      return tx.transmitter == event.transmitter && tx.start == event.start;
+    });
+    if (it == on_air.end()) {
+      ++unbracketed;
+      return;
+    }
+    EXPECT_EQ(it->receiver, event.receiver);
+    on_air.erase(it);
+  });
+  h.mac.StartSnapshotCollection();
+  h.simulator.Run();
+
+  ASSERT_TRUE(h.mac.finished());
+  EXPECT_GT(h.mac.stats().outcomes[static_cast<int>(TxOutcome::kAbortedPuReturn)], 0);
+  EXPECT_EQ(started, h.mac.stats().attempts);
+  EXPECT_EQ(completed, h.mac.stats().attempts);
+  EXPECT_EQ(unbracketed, 0) << "a TxEvent arrived without an earlier kTxStarted";
+  EXPECT_TRUE(on_air.empty());
 }
 
 TEST(CollectionMacTest, RejectsBrokenNextHopTables) {

@@ -58,8 +58,10 @@ Trace RunHeadToHead(bool fairness_wait, std::int32_t packets, std::uint64_t seed
       trace.successes.push_back({event.transmitter, event.start});
     }
   });
-  mac.AddContentionObserver([&](NodeId node, sim::TimeNs when) {
-    trace.contention_starts[node].push_back(when);
+  mac.AddLifecycleObserver([&](const LifecycleEvent& event) {
+    if (event.kind == LifecycleEvent::Kind::kContentionStarted) {
+      trace.contention_starts[event.node].push_back(event.time);
+    }
   });
   std::vector<NodeId> producers;
   for (std::int32_t i = 0; i < packets; ++i) {

@@ -4,6 +4,8 @@
 // the MAC's own aggregate statistics.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/collection.h"
 #include "core/scenario.h"
 #include "mac/packet.h"
@@ -104,6 +106,31 @@ TEST(ObsCollectionTest, MacMetricsAgreeWithMacStats) {
     histogram_sum += span.delivery_delay();
   }
   EXPECT_EQ(metrics.GetHistogram("mac.delivery_delay_ns").sum(), histogram_sum);
+}
+
+TEST(ObsCollectionTest, AttemptCsvMatchesResultRowWithoutFairnessWait) {
+  // The CSV trace comes from the same RunAddc run as the result row, so a
+  // scenario flag (here the Algorithm 1 line-12 wait) reaches both: the
+  // recorded attempts, the MAC's own count and the CSV rows all agree.
+  ScenarioConfig config = TinyConfig();
+  config.fairness_wait = false;
+  const Scenario scenario(config, 0);
+  obs::PacketSpanTracer spans;
+  RunOptions options;
+  options.spans = &spans;
+  const CollectionResult result = RunAddc(scenario, options);
+  ASSERT_TRUE(result.completed);
+
+  std::ostringstream csv;
+  spans.WriteAttemptCsv(csv);
+  std::int64_t lines = 0;
+  for (char c : csv.str()) {
+    if (c == '\n') ++lines;
+  }
+  const std::int64_t data_rows = lines - 1;  // minus the header
+  EXPECT_GT(result.mac.attempts, 0);
+  EXPECT_EQ(static_cast<std::int64_t>(spans.attempts().size()), result.mac.attempts);
+  EXPECT_EQ(data_rows, result.mac.attempts);
 }
 
 }  // namespace

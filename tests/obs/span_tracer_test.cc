@@ -1,8 +1,11 @@
 // Packet-lifecycle span tracer tests on a driven CollectionMac: exact
 // delivery-delay reconstruction against the MAC's own delivery times, span
-// well-formedness, digest determinism, and the Chrome trace export.
+// well-formedness, digest determinism, the Chrome trace export, and the
+// tracer's role as the attempt recorder (per-attempt CSV export and
+// SummarizeAttempts, also over synthetic traces).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,8 +21,7 @@ namespace {
 using geom::Aabb;
 using geom::Vec2;
 
-// Three SUs in a chain delivering to sink 0 over a quiet spectrum — the
-// same rig the TraceRecorder tests use.
+// Three SUs in a chain delivering to sink 0 over a quiet spectrum.
 struct Rig {
   Rig()
       : area(Aabb::Square(100.0)),
@@ -87,7 +89,7 @@ TEST(PacketSpanTracerTest, SpansAreWellFormed) {
   tracer.Attach(rig.mac);
   rig.mac.StartSnapshotCollection();
   rig.simulator.Run();
-  for (const PacketSpanTracer::Attempt& attempt : tracer.attempts()) {
+  for (const mac::TxEvent& attempt : tracer.attempts()) {
     EXPECT_LE(attempt.start, attempt.end);
   }
   // Zero-length freeze intervals (contention started and resumed in the
@@ -138,6 +140,112 @@ TEST(PacketSpanTracerTest, ChromeTraceExportIsWellFormed) {
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
+}
+
+// The tracer as the attempt recorder: every attempt kept, the per-attempt
+// CSV export, and SummarizeAttempts over recorded and synthetic traces.
+TEST(TraceRecorderTest, RecordsEveryAttempt) {
+  Rig rig;
+  PacketSpanTracer tracer;
+  tracer.Attach(rig.mac);
+  rig.mac.StartSnapshotCollection();
+  rig.simulator.Run();
+  ASSERT_TRUE(rig.mac.finished());
+  EXPECT_EQ(static_cast<std::int64_t>(tracer.attempts().size()),
+            rig.mac.stats().attempts);
+  // Chain 0 <- 1 <- 2: three successful hops expected, no failures (quiet
+  // spectrum).
+  EXPECT_EQ(tracer.attempts().size(), 3u);
+}
+
+TEST(TraceRecorderTest, CsvHasHeaderAndOneRowPerEvent) {
+  Rig rig;
+  PacketSpanTracer tracer;
+  tracer.Attach(rig.mac);
+  rig.mac.StartSnapshotCollection();
+  rig.simulator.Run();
+  std::ostringstream out;
+  tracer.WriteAttemptCsv(out);
+  const std::string text = out.str();
+  std::size_t lines = 0;
+  for (char c : text) {
+    if (c == '\n') ++lines;
+  }
+  EXPECT_EQ(lines, tracer.attempts().size() + 1);
+  EXPECT_EQ(text.rfind("start_ms,end_ms,transmitter,receiver,outcome,origin,"
+                       "snapshot,hops,min_sir\n", 0), 0u);
+  EXPECT_NE(text.find("success"), std::string::npos);
+  EXPECT_NE(text.find("inf"), std::string::npos);  // unopposed receptions
+}
+
+TEST(TraceRecorderTest, SummaryCountsAndAirtime) {
+  Rig rig;
+  PacketSpanTracer tracer;
+  tracer.Attach(rig.mac);
+  rig.mac.StartSnapshotCollection();
+  rig.simulator.Run();
+  const AttemptSummary summary = SummarizeAttempts(tracer.attempts());
+  EXPECT_EQ(summary.attempts, 3);
+  EXPECT_EQ(summary.per_outcome[static_cast<int>(mac::TxOutcome::kSuccess)], 3);
+  EXPECT_DOUBLE_EQ(
+      summary.per_outcome_fraction[static_cast<int>(mac::TxOutcome::kSuccess)], 1.0);
+  EXPECT_DOUBLE_EQ(summary.useful_airtime_fraction, 1.0);
+  EXPECT_GT(summary.last_end, summary.first_start);
+}
+
+TEST(TraceRecorderTest, SummaryOutcomeFractionsSumToOne) {
+  std::vector<mac::TxEvent> attempts;
+  mac::TxEvent event;
+  event.start = 100;
+  event.end = 200;
+  event.outcome = mac::TxOutcome::kSuccess;
+  attempts.push_back(event);
+  event.outcome = mac::TxOutcome::kReceiverBusy;
+  attempts.push_back(event);
+  event.outcome = mac::TxOutcome::kSirFailure;
+  attempts.push_back(event);
+  event.outcome = mac::TxOutcome::kSuccess;
+  attempts.push_back(event);
+  const AttemptSummary summary = SummarizeAttempts(attempts);
+  EXPECT_EQ(summary.attempts, 4);
+  EXPECT_DOUBLE_EQ(
+      summary.per_outcome_fraction[static_cast<int>(mac::TxOutcome::kSuccess)], 0.5);
+  double total = 0.0;
+  for (double fraction : summary.per_outcome_fraction) total += fraction;
+  EXPECT_DOUBLE_EQ(total, 1.0);
+}
+
+TEST(TraceRecorderTest, SummaryDegenerateSingleTimestampIsFinite) {
+  // Every attempt shares one instant: timestamps must still be reported and
+  // the airtime fraction must be 0, not NaN (total airtime is zero).
+  std::vector<mac::TxEvent> attempts;
+  mac::TxEvent event;
+  event.start = 7'000;
+  event.end = 7'000;
+  event.outcome = mac::TxOutcome::kSuccess;
+  attempts.push_back(event);
+  event.outcome = mac::TxOutcome::kReceiverBusy;
+  attempts.push_back(event);
+  const AttemptSummary summary = SummarizeAttempts(attempts);
+  EXPECT_EQ(summary.attempts, 2);
+  EXPECT_EQ(summary.first_start, 7'000);
+  EXPECT_EQ(summary.last_end, 7'000);
+  EXPECT_FALSE(std::isnan(summary.useful_airtime_fraction));
+  EXPECT_DOUBLE_EQ(summary.useful_airtime_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(
+      summary.per_outcome_fraction[static_cast<int>(mac::TxOutcome::kSuccess)], 0.5);
+}
+
+TEST(TraceRecorderTest, EmptyTrace) {
+  PacketSpanTracer tracer;
+  const AttemptSummary summary = SummarizeAttempts(tracer.attempts());
+  EXPECT_EQ(summary.attempts, 0);
+  EXPECT_DOUBLE_EQ(summary.useful_airtime_fraction, 0.0);
+  std::ostringstream out;
+  tracer.WriteAttemptCsv(out);
+  EXPECT_EQ(out.str(),
+            "start_ms,end_ms,transmitter,receiver,outcome,origin,snapshot,hops,"
+            "min_sir\n");
 }
 
 }  // namespace
