@@ -719,6 +719,8 @@ double CollectionMac::EvaluateSir(Transmission& tx) {
 }
 
 void CollectionMac::ReevaluateOngoingSirs() {
+  if (active_tx_.empty()) return;
+  SyncPuField();
   const bool cached = field_.engine() == spectrum::SirEngine::kCached;
   for (Transmission& tx : active_tx_) {
     if (!tx.receiver_ok) continue;  // verdict already sealed
@@ -779,11 +781,11 @@ void CollectionMac::OnSlotBoundary() {
     return;
   }
   primary_.ResampleSlot(activity_rng_);
-  field_.NotePuSample(primary_.active_transmitters());
+  pu_field_synced_ = false;
   ++slot_index_;
   slot_start_time_ = now;
   EmitLifecycle(LifecycleEvent::Kind::kSlotBoundary, graph::kInvalidNode, nullptr,
-                static_cast<std::int64_t>(primary_.active_transmitters().size()));
+                primary_.active_count());
 
   // Spectrum handoff: transmitters sense the PU comeback and abort at once
   // (a missed detection lets the transmission ride on, harming the PU —
@@ -822,8 +824,15 @@ void CollectionMac::OnSlotBoundary() {
   // the same sequence number the explicit self-reschedule used to.
 }
 
+void CollectionMac::SyncPuField() {
+  if (pu_field_synced_) return;
+  pu_field_synced_ = true;
+  field_.NotePuSample(primary_.active_transmitters());
+}
+
 void CollectionMac::AuditPrimaryReceptions() {
   if (active_tx_.empty()) return;  // SUs silent: nothing to audit
+  SyncPuField();
   primary_.SampleReceiverPositions(audit_rng_);
   const spectrum::PathLoss& loss = sir_.path_loss();
   const double audit_radius = config_.audit_proximity_factor * config_.pcr;
@@ -1258,6 +1267,7 @@ void CollectionMac::LoadState(sim::StateReader& reader) {
   expected_packets_ = expected_packets;
   slot_index_ = slot_index;
   slot_start_time_ = slot_start_time;
+  pu_field_synced_ = false;
   stats_ = stats;
 
   for (std::uint32_t v = 0; v < saved_nodes; ++v) {

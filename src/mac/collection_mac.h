@@ -367,6 +367,11 @@ class CollectionMac {
   // --- slot machinery ----------------------------------------------------
   void OnSlotBoundary();
   void AuditPrimaryReceptions();
+  // Brings the interference field's PU epochs up to this slot's active set,
+  // at most once per slot and only on first need (SIR evaluation, the PU
+  // audit): most sparse-spectrum slots have nothing on the air and never
+  // build the active list.
+  void SyncPuField();
 
   void DeliverOrEnqueue(NodeId receiver, const Packet& packet);
   // Central loss accounting: shrinks the expected totals (termination and
@@ -464,6 +469,9 @@ class CollectionMac {
   std::int64_t expected_packets_ = 0;
   std::int64_t slot_index_ = 0;
   sim::TimeNs slot_start_time_ = 0;  // start of the current slot
+  // Whether SyncPuField ran since the last re-sample. Not checkpointed:
+  // NotePuSample is idempotent, so a restore just marks the slot unsynced.
+  bool pu_field_synced_ = false;
   bool running_ = false;
   // Drives OnSlotBoundary every τ; re-arms after the handler body so events
   // scheduled inside a slot keep their pre-refactor sequence numbers.

@@ -1,6 +1,7 @@
 #include "pu/primary_network.h"
 
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -12,6 +13,46 @@ namespace crn::pu {
 namespace {
 
 constexpr double kGridCellOverRadius = 1.0;
+
+// Bit-sliced Bernoulli draw: returns, for every lane set in `lanes`, an
+// independent outcome U < T for a 53-bit uniform U, where T is
+// Rng::BernoulliThreshold(p) — exactly Rng::Bernoulli(p)'s law. Lane i's U
+// takes bit b from bit i of the (52 - b)-th raw word drawn, so U and T are
+// compared most-significant bit first for all 64 lanes at once: where T's
+// bit is 1 a lane whose U bit is 0 is decided active, where it is 0 a lane
+// whose U bit is 1 is decided idle, and equal bits stay undecided. Each word
+// decides about half the undecided lanes, so the loop stops after ≈7.3
+// words for 64 lanes instead of one word per lane. Lanes still undecided
+// after bit 0 have U == T and stay idle.
+std::uint64_t DrawLanes(Rng& rng, std::uint64_t threshold, std::uint64_t lanes) {
+  std::uint64_t hits = 0;
+  std::uint64_t undecided = lanes;
+  for (int bit = 52; bit >= 0 && undecided != 0; --bit) {
+    const std::uint64_t r = rng();
+    const std::uint64_t t_bit = 0 - ((threshold >> bit) & 1);  // all ones iff 1
+    hits |= undecided & ~r & t_bit;
+    undecided &= ~(r ^ t_bit);
+  }
+  return hits;
+}
+
+// Bernoulli(p) over a set of lanes, with p ≤ 0 and p ≥ 1 pinned and drawing
+// nothing, like Rng::Bernoulli at the extremes.
+class LaneBernoulli {
+ public:
+  explicit LaneBernoulli(double p)
+      : p_(p), threshold_(p > 0.0 && p < 1.0 ? Rng::BernoulliThreshold(p) : 0) {}
+
+  std::uint64_t operator()(Rng& rng, std::uint64_t lanes) const {
+    if (p_ <= 0.0) return 0;
+    if (p_ >= 1.0) return lanes;
+    return DrawLanes(rng, threshold_, lanes);
+  }
+
+ private:
+  double p_;
+  std::uint64_t threshold_;
+};
 
 }  // namespace
 
@@ -25,6 +66,35 @@ const char* ToString(ActivityProcess process) {
   return "unknown";
 }
 
+std::string PrimaryConfigError(const PrimaryConfig& config) {
+  std::ostringstream out;
+  if (config.count < 0) {
+    out << "N=" << config.count << ": the PU count cannot be negative";
+  } else if (!(config.power > 0.0)) {
+    out << "P_p=" << config.power << ": the PU transmit power must be positive";
+  } else if (!(config.radius > 0.0)) {
+    out << "R=" << config.radius << ": the PU transmission radius must be positive";
+  } else if (!(config.activity >= 0.0 && config.activity <= 1.0)) {
+    out << "p_t=" << config.activity
+        << " is a per-slot probability; pass a value in [0, 1]";
+  } else if (config.slot <= 0) {
+    out << "slot=" << config.slot << " ns: the PU slot duration must be positive";
+  } else if (config.process == ActivityProcess::kMarkov && config.activity < 1.0) {
+    if (!(config.mean_burst_slots >= 1.0)) {
+      out << "mean burst=" << config.mean_burst_slots
+          << " slots: an active run lasts at least one slot; pass a value >= 1";
+    } else if (config.activity / (config.mean_burst_slots * (1.0 - config.activity)) >
+               1.0) {
+      out << "p_t=" << config.activity << " is unreachable with a mean burst of "
+          << config.mean_burst_slots
+          << " slots (the idle->active probability would exceed 1); lengthen the "
+          << "bursts to at least " << config.activity / (1.0 - config.activity)
+          << " slots or lower p_t";
+    }
+  }
+  return out.str();
+}
+
 PrimaryNetwork::PrimaryNetwork(const PrimaryConfig& config, geom::Aabb area,
                                Rng deployment_rng)
     : PrimaryNetwork(config, area,
@@ -35,140 +105,86 @@ PrimaryNetwork::PrimaryNetwork(const PrimaryConfig& config, geom::Aabb area,
     : config_(config),
       positions_(std::move(positions)),
       grid_(positions_, area, std::max(config.radius * kGridCellOverRadius, 1.0)) {
-  CRN_CHECK(config.power > 0.0) << "P_p=" << config.power;
-  CRN_CHECK(config.radius > 0.0) << "R=" << config.radius;
-  CRN_CHECK(config.activity >= 0.0 && config.activity <= 1.0)
-      << "p_t=" << config.activity;
-  CRN_CHECK(config.slot > 0) << "slot=" << config.slot
-                             << " ns: the PU slot duration must be positive";
-  if (config.process == ActivityProcess::kMarkov && config.activity < 1.0) {
-    CRN_CHECK(config.mean_burst_slots >= 1.0)
-        << "mean_burst_slots=" << config.mean_burst_slots;
-    CRN_CHECK(config.activity / (config.mean_burst_slots * (1.0 - config.activity)) <=
-              1.0)
-        << "activity " << config.activity << " unreachable with mean burst "
-        << config.mean_burst_slots << " (idle->active probability exceeds 1)";
-  }
+  const std::string error = PrimaryConfigError(config);
+  CRN_CHECK(error.empty()) << error;
   CRN_CHECK(static_cast<std::int32_t>(positions_.size()) == config.count)
       << positions_.size() << " positions for N=" << config.count;
-  active_.assign(positions_.size(), 0);
   activity_mask_.assign((positions_.size() + 63) / 64, 0);
   receiver_.assign(positions_.size(), geom::Vec2{});
 }
 
+std::uint64_t PrimaryNetwork::LaneMask(std::size_t word) const {
+  const std::size_t tail = positions_.size() & 63;
+  return word + 1 < activity_mask_.size() || tail == 0 ? ~0ULL
+                                                       : (1ULL << tail) - 1;
+}
+
 void PrimaryNetwork::ResampleSlot(Rng& rng) {
-  switch (config_.process) {
-    case ActivityProcess::kIid: {
-      // This loop is the single hottest site in long runs (N draws per slot
-      // boundary, every slot), so the Bernoulli is hoisted into an integer
-      // threshold compare: (x >> 11)·2⁻⁵³ < p  ⟺  (x >> 11) < ⌈p·2⁵³⌉.
-      // Both double operations are exact (53-bit integer, power-of-two
-      // scale), so the draws are bit-identical to Rng::Bernoulli.
-      const double p = config_.activity;
-      if (p <= 0.0 || p >= 1.0) {
-        // Rng::Bernoulli consumes no draw at the extremes; match that.
-        const char pinned = p >= 1.0 ? 1 : 0;
-        for (PuId id = 0; id < count(); ++id) active_[id] = pinned;
-        PackMaskFromBytes();
-        break;
-      }
-      const std::uint64_t threshold = Rng::BernoulliThreshold(p);
-      const PuId n = count();
-      // Draw from a local copy of the generator: active_ stores are char
-      // writes, which the compiler must otherwise assume may alias the
-      // caller's Rng state, forcing a state reload/spill on every draw.
-      // The draw loop packs activity into the bitmask in the same pass; the
-      // active list is rebuilt afterwards by ctz-scanning the mask words. A
-      // per-PU branchy (or even branchless store+bump) append costs ~2.5×
-      // as much as the whole draw loop at p_t ≈ 0.3 — the data-dependent
-      // branch mispredicts, and the index chain serializes the loop.
-      Rng local = rng;
-      char* out = active_.data();
-      std::uint64_t* mask = activity_mask_.data();
-      std::uint64_t word = 0;
-      for (PuId id = 0; id < n; ++id) {
-        const std::uint64_t is_active = (local() >> 11) < threshold ? 1 : 0;
-        out[id] = static_cast<char>(is_active);
-        word |= is_active << (id & 63);
-        if ((id & 63) == 63) {
-          mask[id >> 6] = word;
-          word = 0;
-        }
-      }
-      if ((n & 63) != 0) mask[n >> 6] = word;
-      rng = local;
-      break;
-    }
-    case ActivityProcess::kMarkov: {
-      // Two-state chain with stationary probability p_t of being active:
-      //   P(active -> idle)  = 1/L                    (mean burst L slots)
-      //   P(idle  -> active) = p_t / (L (1 - p_t))    (stationarity)
-      // The first sampled slot draws from the stationary distribution.
-      // Degenerate duty cycles pin the chain to one state.
-      const double p_off =
-          config_.activity >= 1.0 ? 0.0 : 1.0 / config_.mean_burst_slots;
-      const double p_on =
-          config_.activity >= 1.0
-              ? 1.0
-              : config_.activity * p_off / (1.0 - config_.activity);
-      for (PuId id = 0; id < count(); ++id) {
-        bool is_active;
-        if (slots_sampled_ == 0) {
-          is_active = rng.Bernoulli(config_.activity);
-        } else if (active_[id]) {
-          is_active = !rng.Bernoulli(p_off);
-        } else {
-          is_active = rng.Bernoulli(p_on);
-        }
-        active_[id] = is_active ? 1 : 0;
-      }
-      PackMaskFromBytes();
-      break;
+  // Draw from a local copy of the generator: mask stores are uint64 writes,
+  // which the compiler must otherwise assume may alias the caller's Rng
+  // state, forcing a state reload/spill on every draw.
+  Rng local = rng;
+  std::uint64_t* mask = activity_mask_.data();
+  const std::size_t words = activity_mask_.size();
+  if (config_.process == ActivityProcess::kIid || slots_sampled_ == 0) {
+    // i.i.d. slots, and the Markov chain's first slot (drawn from its
+    // stationary distribution).
+    const LaneBernoulli draw(config_.activity);
+    for (std::size_t w = 0; w < words; ++w) mask[w] = draw(local, LaneMask(w));
+  } else {
+    // Two-state chain with stationary probability p_t of being active:
+    //   P(active -> idle)  = 1/L                    (mean burst L slots)
+    //   P(idle  -> active) = p_t / (L (1 - p_t))    (stationarity)
+    // Off-draws cover the active lanes, on-draws the idle ones. Degenerate
+    // duty cycles pin the chain to one state.
+    const double p_off =
+        config_.activity >= 1.0 ? 0.0 : 1.0 / config_.mean_burst_slots;
+    const double p_on =
+        config_.activity >= 1.0
+            ? 1.0
+            : config_.activity * p_off / (1.0 - config_.activity);
+    const LaneBernoulli turn_off(p_off);
+    const LaneBernoulli turn_on(p_on);
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t on = mask[w];
+      const std::uint64_t offs = turn_off(local, on);
+      const std::uint64_t ons = turn_on(local, LaneMask(w) & ~on);
+      mask[w] = (on & ~offs) | ons;
     }
   }
-  RebuildActiveList();
-  activations_total_ += static_cast<std::int64_t>(active_list_.size());
+  rng = local;
+  NoteMaskChanged();
+  activations_total_ += active_count_;
   ++slots_sampled_;
 }
 
-void PrimaryNetwork::PackMaskFromBytes() {
-  std::uint64_t* mask = activity_mask_.data();
-  const char* bytes = active_.data();
-  const PuId n = count();
-  std::uint64_t word = 0;
-  for (PuId id = 0; id < n; ++id) {
-    word |= static_cast<std::uint64_t>(bytes[id] != 0) << (id & 63);
-    if ((id & 63) == 63) {
-      mask[id >> 6] = word;
-      word = 0;
-    }
-  }
-  if ((n & 63) != 0) mask[n >> 6] = word;
+void PrimaryNetwork::NoteMaskChanged() {
+  std::int32_t count = 0;
+  for (const std::uint64_t word : activity_mask_) count += __builtin_popcountll(word);
+  active_count_ = count;
+  active_list_stale_ = true;
 }
 
 void PrimaryNetwork::RebuildActiveList() {
-  active_list_.resize(active_.size());
+  active_list_.resize(static_cast<std::size_t>(active_count_));
   PuId* list = active_list_.data();
-  const std::uint64_t* mask = activity_mask_.data();
   std::size_t actives = 0;
   for (std::size_t w = 0; w < activity_mask_.size(); ++w) {
-    std::uint64_t bits = mask[w];
+    std::uint64_t bits = activity_mask_[w];
     while (bits != 0) {
       const int bit = __builtin_ctzll(bits);
       list[actives++] = static_cast<PuId>(w * 64 + static_cast<std::size_t>(bit));
       bits &= bits - 1;
     }
   }
-  active_list_.resize(actives);
+  active_list_stale_ = false;
 }
 
 void PrimaryNetwork::OverrideActivity(double activity) {
-  CRN_CHECK(activity >= 0.0 && activity <= 1.0) << "p_t=" << activity;
-  if (config_.process == ActivityProcess::kMarkov && activity < 1.0) {
-    CRN_CHECK(activity / (config_.mean_burst_slots * (1.0 - activity)) <= 1.0)
-        << "activity " << activity << " unreachable with mean burst "
-        << config_.mean_burst_slots << " (idle->active probability exceeds 1)";
-  }
+  PrimaryConfig overridden = config_;
+  overridden.activity = activity;
+  const std::string error = PrimaryConfigError(overridden);
+  CRN_CHECK(error.empty()) << error;
   config_.activity = activity;
 }
 
@@ -179,10 +195,9 @@ void PrimaryNetwork::SaveState(sim::StateWriter& writer) const {
   writer.WriteDouble(config_.activity);
   writer.WriteI64(slots_sampled_);
   writer.WriteI64(activations_total_);
-  writer.WriteU32(static_cast<std::uint32_t>(active_.size()));
-  for (const char byte : active_) {
-    writer.WriteU8(static_cast<std::uint8_t>(byte));
-  }
+  // One byte per PU (the section's layout predates the bitmask).
+  writer.WriteU32(static_cast<std::uint32_t>(count()));
+  for (PuId id = 0; id < count(); ++id) writer.WriteU8(IsActive(id) ? 1 : 0);
   // Receiver draws are lazy (audit-only), but the audit stride may span the
   // checkpoint boundary, so the positions must ride along bit-exactly.
   for (const geom::Vec2& receiver : receiver_) {
@@ -198,13 +213,15 @@ void PrimaryNetwork::LoadState(sim::StateReader& reader) {
   const std::int64_t slots_sampled = reader.ReadI64();
   const std::int64_t activations_total = reader.ReadI64();
   const std::uint32_t pu_count = reader.ReadU32();
-  if (reader.ok() && pu_count != active_.size()) {
+  if (reader.ok() && pu_count != positions_.size()) {
     // Consume nothing further; EndSection will flag the layout mismatch.
     reader.EndSection();
     return;
   }
-  std::vector<char> active(active_.size(), 0);
-  for (char& byte : active) byte = static_cast<char>(reader.ReadU8());
+  std::vector<std::uint64_t> mask(activity_mask_.size(), 0);
+  for (std::size_t id = 0; id < positions_.size(); ++id) {
+    if (reader.ReadU8() != 0) mask[id >> 6] |= 1ULL << (id & 63);
+  }
   std::vector<geom::Vec2> receivers(receiver_.size());
   for (geom::Vec2& receiver : receivers) {
     receiver.x = reader.ReadDouble();
@@ -215,14 +232,13 @@ void PrimaryNetwork::LoadState(sim::StateReader& reader) {
   config_.activity = activity;
   slots_sampled_ = slots_sampled;
   activations_total_ = activations_total;
-  active_ = std::move(active);
+  activity_mask_ = std::move(mask);
   receiver_ = std::move(receivers);
-  PackMaskFromBytes();
-  RebuildActiveList();
+  NoteMaskChanged();
 }
 
 void PrimaryNetwork::SampleReceiverPositions(Rng& rng) {
-  for (PuId id : active_list_) {
+  for (PuId id : active_transmitters()) {
     // Uniform receiver in the disk of radius R (sqrt trick).
     const double rho = config_.radius * std::sqrt(rng.UniformDouble());
     const double theta = rng.UniformDouble(0.0, 2.0 * M_PI);

@@ -12,6 +12,7 @@
 #define CRN_PU_PRIMARY_NETWORK_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -56,6 +57,11 @@ struct PrimaryConfig {
   double mean_burst_slots = 4.0;  // kMarkov: mean active-run length
 };
 
+// Returns an actionable message naming the first out-of-domain field of
+// `config`, or "" when every field is valid. PrimaryNetwork's constructor
+// CRN_CHECKs it; front ends call it first to reject bad input cleanly.
+[[nodiscard]] std::string PrimaryConfigError(const PrimaryConfig& config);
+
 class PrimaryNetwork {
  public:
   // Deploys `config.count` PUs uniformly in `area` using `rng`.
@@ -78,6 +84,9 @@ class PrimaryNetwork {
 
   // Re-samples every PU's activity for the slot starting now. Activity
   // randomness comes from `rng` (a dedicated stream owned by the caller).
+  // Each PU's law is exactly Rng::Bernoulli's, but the draw is bit-sliced:
+  // the 64 PUs of a mask word share each raw word of `rng` (≈7.3 words per
+  // 64 PUs rather than 64). Every accessor below is valid afterwards.
   void ResampleSlot(Rng& rng);
 
   // Fault-injection hook (PU activity perturbation): replaces the per-slot
@@ -86,13 +95,21 @@ class PrimaryNetwork {
   // the stationary target moves.
   void OverrideActivity(double activity);
 
-  [[nodiscard]] bool IsActive(PuId id) const { return active_[id] != 0; }
-  [[nodiscard]] const std::vector<PuId>& active_transmitters() const {
+  [[nodiscard]] bool IsActive(PuId id) const {
+    return ((activity_mask_[static_cast<std::size_t>(id) >> 6] >> (id & 63)) & 1) != 0;
+  }
+  // Active PU ids in ascending order. Built from the mask on first call
+  // after a re-sample (SIR and the PU audit need it; most slots do not).
+  [[nodiscard]] const std::vector<PuId>& active_transmitters() {
+    if (active_list_stale_) RebuildActiveList();
     return active_list_;
   }
-  // Per-slot activity as a bitmask (bit id = IsActive(id)), ⌈N/64⌉ words.
-  // Carrier-sensing hot loops intersect it with precomputed "PUs near me"
-  // masks instead of walking id lists (collection_mac.cc).
+  // Number of active PUs this slot (a popcount; never builds the list).
+  [[nodiscard]] std::int32_t active_count() const { return active_count_; }
+  // Per-slot activity as a bitmask (bit id = IsActive(id)), ⌈N/64⌉ words —
+  // the one per-slot activity representation. Carrier-sensing hot loops
+  // intersect it with precomputed "PUs near me" masks instead of walking id
+  // lists (collection_mac.cc).
   [[nodiscard]] const std::vector<std::uint64_t>& activity_mask() const {
     return activity_mask_;
   }
@@ -119,18 +136,20 @@ class PrimaryNetwork {
   void LoadState(sim::StateReader& reader);
 
  private:
-  // Mirrors active_ bytes into activity_mask_ (slow paths; the iid fast
-  // path packs the mask during the draw loop itself).
-  void PackMaskFromBytes();
+  // Lanes of mask word `word` that are real PUs (the last word may be partial).
+  [[nodiscard]] std::uint64_t LaneMask(std::size_t word) const;
+  // Marks the mask as new: recounts, and stales the active list.
+  void NoteMaskChanged();
   // Rebuilds active_list_ by ctz-scanning activity_mask_.
   void RebuildActiveList();
 
   PrimaryConfig config_;
   std::vector<geom::Vec2> positions_;
   geom::SpatialGrid grid_;
-  std::vector<char> active_;
-  std::vector<std::uint64_t> activity_mask_;  // bit-per-PU mirror of active_
-  std::vector<PuId> active_list_;
+  std::vector<std::uint64_t> activity_mask_;
+  std::int32_t active_count_ = 0;
+  std::vector<PuId> active_list_;  // valid unless active_list_stale_
+  bool active_list_stale_ = false;
   std::vector<geom::Vec2> receiver_;
   std::int64_t slots_sampled_ = 0;
   std::int64_t activations_total_ = 0;

@@ -25,9 +25,10 @@
 //    unchanged the memo is the exact same prefix sum a recomputation would
 //    produce — and ADDC's sibling serialization makes same-receiver,
 //    same-slot evaluations the dominant pattern.
-// NotePuSample compares the freshly sampled active list against the
-// previous slot's and leaves both epochs alone when the set is unchanged —
-// at low activity most slots change nothing and whole refloors vanish.
+// NotePuSample compares the current active list against the last one it
+// saw and leaves both epochs alone when the set is unchanged — at low
+// activity most slots change nothing and whole refloors vanish. The MAC
+// calls it once per slot, on the slot's first SIR or audit need.
 //
 // SirEngine::kDirect computes every gain from positions on every use (no
 // cache, no skips, no memos) while keeping the identical summation order —
@@ -271,10 +272,10 @@ class InterferenceField {
   // incremental interference memos).
   [[nodiscard]] std::int64_t shrink_epoch() const { return shrink_epoch_; }
 
-  // A slot boundary resampled PU activity. Bumps both epochs only when the
-  // active set actually differs from the previous slot's (the list is in
-  // ascending PU id order, so vector equality is set equality). Returns
-  // whether it changed.
+  // PU activity was resampled since the last call. Bumps both epochs only
+  // when the active set differs from the one last noted (the list is in
+  // ascending PU id order, so vector equality is set equality); calling it
+  // again with the same set is a no-op. Returns whether it changed.
   bool NotePuSample(const std::vector<std::int32_t>& active) {
     if (active == previous_active_pus_) return false;
     previous_active_pus_ = active;

@@ -1,6 +1,7 @@
 // Golden run: one audited ADDC collection (n = 200, seed 41) pinned to
-// constants — values the calendar queue and a reference binary heap were
-// shown to agree on at full-stack scale. Any change to event order, RNG
+// constants — first pinned where the calendar queue and a reference binary
+// heap agreed at full-stack scale, re-pinned only on deliberate RNG-stream
+// changes (the bit-sliced PU activity draw). Any change to event order, RNG
 // stream consumption or scheduler work fails here with a named value; a
 // deliberate re-baseline updates the constants and records why in
 // CHANGES.md. tests/sim/scheduler_fuzz_test.cc checks pop order against a
@@ -20,15 +21,15 @@
 namespace crn::core {
 namespace {
 
-constexpr std::uint64_t kTraceDigest = 0x15E77B663606AADDULL;
-constexpr std::uint64_t kEventsObserved = 23807;
-constexpr std::int64_t kSchedPushes = 27512;
-constexpr std::int64_t kSchedPops = 23807;
-constexpr std::int64_t kSchedCancels = 3703;
-constexpr std::int64_t kSchedStaleSkips = 3703;
+constexpr std::uint64_t kTraceDigest = 0x9703E87E1F9628E0ULL;
+constexpr std::uint64_t kEventsObserved = 21508;
+constexpr std::int64_t kSchedPushes = 25592;
+constexpr std::int64_t kSchedPops = 21508;
+constexpr std::int64_t kSchedCancels = 4082;
+constexpr std::int64_t kSchedStaleSkips = 4082;
 // Packet-history pins for the same run with the span tracer attached.
-constexpr std::uint64_t kSpanDigest = 0x0E31BF52FF759A34ULL;
-constexpr std::int64_t kAttempts = 1135;
+constexpr std::uint64_t kSpanDigest = 0x6137C9F2F634BDEBULL;
+constexpr std::int64_t kAttempts = 1125;
 
 std::int64_t SchedCounter(obs::MetricsRegistry& metrics, const char* name) {
   return metrics.GetCounter(name, {{"scheduler", "calendar"}}).value();

@@ -2,6 +2,9 @@
 // closed-form bounds must dominate the measured behaviour on real runs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "core/collection.h"
 #include "core/scenario.h"
 #include "core/theory.h"
@@ -79,17 +82,25 @@ TEST(TheoryValidationTest, BackboneWithinPcrWithinLemma5Bound) {
 TEST(TheoryValidationTest, DelayScalesRoughlyLinearlyInN) {
   // Theorem 2: delay = O(n·τ/p_o). Halving n (same densities) should
   // roughly halve delay; allow a wide band for the Theorem-1 head and
-  // variance.
+  // variance. Single-repetition ratios range from about 1.4 to 10, so the
+  // test compares mean delays over 32 repetitions (ratio about 3.4).
   ScenarioConfig big = SmallConfig();
   ScenarioConfig small = SmallConfig();
   small.num_sus = big.num_sus / 2;
   small.num_pus = big.num_pus / 2;
   small.area_side = big.area_side / std::sqrt(2.0);
-  const CollectionResult rb = RunAddc(Scenario(big, 0));
-  const CollectionResult rs = RunAddc(Scenario(small, 0));
-  ASSERT_TRUE(rb.completed);
-  ASSERT_TRUE(rs.completed);
-  const double ratio = rb.delay_ms / rs.delay_ms;
+  constexpr std::uint64_t kReps = 32;
+  double big_delay_ms = 0.0;
+  double small_delay_ms = 0.0;
+  for (std::uint64_t rep = 0; rep < kReps; ++rep) {
+    const CollectionResult rb = RunAddc(Scenario(big, rep));
+    const CollectionResult rs = RunAddc(Scenario(small, rep));
+    ASSERT_TRUE(rb.completed) << "rep " << rep;
+    ASSERT_TRUE(rs.completed) << "rep " << rep;
+    big_delay_ms += rb.delay_ms;
+    small_delay_ms += rs.delay_ms;
+  }
+  const double ratio = big_delay_ms / small_delay_ms;
   EXPECT_GT(ratio, 1.2);
   EXPECT_LT(ratio, 4.0);
 }

@@ -11,6 +11,7 @@
 #include "mac/packet.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
+#include "sim/flight_recorder.h"
 
 namespace crn::core {
 namespace {
@@ -45,6 +46,58 @@ TEST(ObsCollectionTest, AttachingSinksIsObservationOnly) {
   EXPECT_EQ(bare_result.delay_ms, observed_result.delay_ms);
   EXPECT_EQ(bare_result.mac.attempts, observed_result.mac.attempts);
   EXPECT_GT(metrics.instrument_count(), 0u);
+  EXPECT_FALSE(spans.packets().empty());
+}
+
+TEST(ObsCollectionTest, ObserversLeaveSirRunAndFieldSyncUnchanged) {
+  // The MAC syncs the interference field with the slot's PU set lazily, on
+  // first SIR/audit need; no observer may move that point. Registry, span
+  // tracer and flight recorder attached together must leave the trace
+  // digest, the SIR work counts (exact functions of when the field syncs)
+  // and the result exactly as they are without them.
+  ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.1);  // n = 200
+  config.seed = 41;
+  const Scenario scenario(config, 0);
+
+  AuditReport bare_report;
+  RunOptions bare;
+  bare.audit_report = &bare_report;
+  const CollectionResult bare_result = RunAddc(scenario, bare);
+
+  obs::MetricsRegistry counted;
+  AuditReport counted_report;
+  RunOptions metrics_only;
+  metrics_only.audit_report = &counted_report;
+  metrics_only.metrics = &counted;
+  RunAddc(scenario, metrics_only);
+
+  obs::MetricsRegistry metrics;
+  obs::PacketSpanTracer spans;
+  sim::FlightRecorder recorder;
+  AuditReport observed_report;
+  RunOptions observed;
+  observed.audit_report = &observed_report;
+  observed.metrics = &metrics;
+  observed.spans = &spans;
+  observed.flight_recorder = &recorder;
+  const CollectionResult observed_result = RunAddc(scenario, observed);
+
+  ASSERT_TRUE(bare_result.completed);
+  EXPECT_NE(bare_report.trace_digest, 0u);
+  EXPECT_EQ(bare_report.trace_digest, counted_report.trace_digest);
+  EXPECT_EQ(bare_report.trace_digest, observed_report.trace_digest);
+  EXPECT_EQ(bare_result.delay_ms, observed_result.delay_ms);
+  EXPECT_EQ(bare_result.mac.attempts, observed_result.mac.attempts);
+  const obs::Labels engine{{"engine", "cached"}};
+  EXPECT_GT(metrics.GetCounter("perf.sir_evaluations", engine).value(), 0);
+  for (const char* name :
+       {"perf.sir_evaluations", "perf.sir_terms_evaluated", "perf.reeval_skipped",
+        "perf.pu_partials_reused", "perf.su_resumes", "perf.bound_skips"}) {
+    EXPECT_EQ(counted.GetCounter(name, engine).value(),
+              metrics.GetCounter(name, engine).value())
+        << name;
+  }
+  EXPECT_GT(recorder.total_recorded(), 0U);
   EXPECT_FALSE(spans.packets().empty());
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "common/rng.h"
 #include "geom/vec2.h"
 
@@ -126,6 +129,27 @@ TEST(PrimaryNetworkTest, RejectsInvalidConfig) {
   config = SmallConfig();
   config.radius = -1.0;
   EXPECT_THROW(PrimaryNetwork(config, area, Rng(1)), ContractViolation);
+}
+
+TEST(PrimaryNetworkTest, ConfigErrorNamesTheBadField) {
+  EXPECT_EQ(PrimaryConfigError(SmallConfig()), "");
+  PrimaryConfig config = SmallConfig();
+  config.activity = 1.5;
+  EXPECT_NE(PrimaryConfigError(config).find("p_t=1.5"), std::string::npos);
+  config.activity = std::nan("");
+  EXPECT_NE(PrimaryConfigError(config).find("p_t=nan"), std::string::npos);
+  config = SmallConfig();
+  config.count = -1;
+  EXPECT_NE(PrimaryConfigError(config).find("N=-1"), std::string::npos);
+  config = SmallConfig();
+  config.process = ActivityProcess::kMarkov;
+  config.mean_burst_slots = 0.5;
+  EXPECT_NE(PrimaryConfigError(config).find("mean burst=0.5"), std::string::npos);
+  config.mean_burst_slots = 1.0;
+  config.activity = 0.9;  // needs bursts of at least 9 slots
+  EXPECT_NE(PrimaryConfigError(config).find("at least 9 slots"), std::string::npos);
+  config.mean_burst_slots = 10.0;
+  EXPECT_EQ(PrimaryConfigError(config), "");
 }
 
 }  // namespace

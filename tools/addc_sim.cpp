@@ -31,6 +31,7 @@
 #include "harness/table.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
+#include "pu/primary_network.h"
 #include "sim/checkpoint.h"
 
 namespace {
@@ -228,6 +229,20 @@ int main(int argc, char** argv) {
       std::cerr << "error: unknown flag " << unknown << "\n";
     }
     std::cerr << "run with --help for usage\n";
+    return 2;
+  }
+  // Reject out-of-domain PU settings here, with the flag names, instead of
+  // failing the PrimaryNetwork contract check mid-run.
+  if (!(burst >= 0.0)) {
+    std::cerr << "error: --pu-burst=" << burst
+              << " must be 0 (i.i.d. activity) or a mean burst of at least 1 slot\n";
+    return 2;
+  }
+  if (const std::string pu_error = pu::PrimaryConfigError(config.MakePrimaryConfig());
+      !pu_error.empty()) {
+    std::cerr << "error: invalid primary-network settings (--pt, --pu-burst, "
+                 "--num-pus, --pu-power, --pu-radius): "
+              << pu_error << "\n";
     return 2;
   }
   // Trace sinks attach to snapshot ADDC runs only; reject combinations that
