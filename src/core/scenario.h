@@ -70,11 +70,6 @@ struct ScenarioConfig {
   sim::TimeNs baseline_sensing_latency = 10 * sim::kMicrosecond;
   std::int32_t audit_stride = 16;
   sim::TimeNs max_sim_time = 7'200 * sim::kSecond;
-  // SIR evaluation engine selector (spectrum/interference_field.h). The
-  // cached engine is bit-identical to the direct one on every scenario —
-  // this knob exists for the property tests and for before/after work
-  // accounting in bench_sim_throughput, not for accuracy trade-offs.
-  bool direct_sir_engine = false;
   // Reproducibility.
   std::uint64_t seed = 0x5EEDADDCULL;
   std::int32_t max_deployment_attempts = 500;

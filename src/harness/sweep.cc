@@ -58,8 +58,8 @@ SweepResult RunSweep(const SweepSpec& spec) {
 
   // Geometry sharing across cells: the cache hands every cell whose
   // (geometry key, rep) matches the same immutable prefab. Deployment is a
-  // pure function of (config, rep) either way, so cached and rebuilt
-  // geometry are bit-identical (verify_prefabs re-proves it per hit).
+  // pure function of (config, rep), so cached and rebuilt geometry are
+  // bit-identical (verify_prefabs re-proves it per hit).
   core::ScenarioPrefabCache prefab_cache(spec.verify_prefabs);
   const ParallelRunner runner(spec.jobs, spec.grain);
   sweep.pool = runner.ForEachIndex(
@@ -70,10 +70,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
         const auto rep = static_cast<std::uint64_t>(rest / algorithms);
         const bool is_addc = spec.addc_only || rest % 2 == 0;
         const core::ScenarioConfig& config = spec.points[point].config;
-        const core::Scenario scenario =
-            spec.prefab_cache
-                ? core::Scenario(config, rep, prefab_cache.Get(config, rep))
-                : core::Scenario(config, rep);
+        const core::Scenario scenario(config, rep, prefab_cache.Get(config, rep));
         CellOutcome& cell = cells[static_cast<std::size_t>(index)];
         if (is_addc) {
           core::RunOptions options;
@@ -146,7 +143,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
     sweep.summaries.push_back(summary);
   }
   if (spec.collect_digests) sweep.trace_digest = sweep_digest;
-  if (spec.metrics != nullptr && spec.prefab_cache) {
+  if (spec.metrics != nullptr) {
     // Deterministic at every jobs/grain value (misses = distinct keys, hits
     // = requests - misses, bytes = Σ built prefabs), so safe to fold into
     // the digest-compared registry. The scheduling-dependent pool.steals

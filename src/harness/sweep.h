@@ -78,15 +78,12 @@ struct SweepSpec {
   // 1 — ResolveGrain in work_stealing.h). Any value yields bit-identical
   // results; grain trades scheduling flexibility against claim traffic.
   std::int64_t grain = 0;
-  // Share deployment geometry (positions + graph + CDS tree) across cells
-  // whose geometry-determining parameters match (core/scenario_prefab.h):
-  // points varying only MAC/spectrum parameters skip the rebuild entirely.
-  // Off rebuilds per cell (the legacy behaviour, kept for A/B benches).
-  // Either way the simulated geometry is bit-identical.
-  bool prefab_cache = true;
-  // Equivalence mode: every prefab-cache hit is digest-checked against a
-  // freshly built prefab (cached ≡ rebuilt, CRN_CHECK). Forfeits the
-  // cache's speedup; used by tests and CI, not benches.
+  // Every sweep shares deployment geometry (positions + graph + CDS tree)
+  // across cells whose geometry-determining parameters match
+  // (core/scenario_prefab.h). Equivalence mode: every prefab-cache hit is
+  // digest-checked against a freshly built prefab (cached ≡ rebuilt,
+  // CRN_CHECK). Forfeits the cache's speedup; used by tests and CI, not
+  // benches.
   bool verify_prefabs = false;
 
   // Observability (both optional, both jobs-invariant):

@@ -75,8 +75,8 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
       audit_rng_(rng.Stream("pu-audit")),
       sensing_rng_(rng.Stream("sensing")),
       sir_(spectrum::PathLoss(config.alpha)),
-      field_(spectrum::PathLoss(config.alpha), config.sir_engine, positions_,
-             config.su_power, primary.positions(), primary.config().power),
+      field_(spectrum::PathLoss(config.alpha), positions_, config.su_power,
+             primary.positions(), primary.config().power),
       sensing_grid_(positions_, area, SensingCellSize(config.pcr)),
       carrier_grid_(positions_, area, SensingCellSize(config.pcr)) {
   const auto n = node_count();
@@ -679,16 +679,15 @@ void CollectionMac::NotifySensorsTxEnd(NodeId transmitter) {
 double CollectionMac::EvaluateSir(Transmission& tx) {
   // Fixed summation order — PU terms (ascending PU id, the active-list
   // order) first, then SU terms in active_tx_ order — so the field's
-  // per-receiver PU memo continues into the exact operation sequence a
-  // from-scratch recomputation would run, and cached and direct engines
-  // stay bit-identical.
+  // per-receiver PU memo and the append-incremental resume below continue
+  // into the exact operation sequence a from-scratch recomputation would
+  // run, bit for bit.
   spectrum::FieldWork& work = field_.work();
   ++work.sir_evaluations;
   const NodeId rx = tx.receiver;
-  const bool cached = field_.engine() == spectrum::SirEngine::kCached;
   double interference = 0.0;
   std::size_t from = 0;
-  if (cached && tx.itf_count >= 0 &&
+  if (tx.itf_count >= 0 &&
       tx.itf_shrink_epoch == field_.shrink_epoch() &&
       tx.itf_pu_epoch == field_.pu_epoch()) {
     // Entries [0, itf_count) are the same transmissions in the same order
@@ -706,14 +705,12 @@ double CollectionMac::EvaluateSir(Transmission& tx) {
     if (other.transmitter == tx.transmitter) continue;
     interference += field_.SuGain(other.transmitter, rx);
   }
-  if (cached) {
-    tx.itf_sum = interference;
-    tx.itf_count = static_cast<std::int32_t>(active_tx_.size());
-    tx.itf_pu_epoch = field_.pu_epoch();
-    tx.itf_shrink_epoch = field_.shrink_epoch();
-    tx.itf_ub = interference;  // exact again: the bound's slack resets
-    tx.itf_ub_pu_epoch = field_.pu_epoch();
-  }
+  tx.itf_sum = interference;
+  tx.itf_count = static_cast<std::int32_t>(active_tx_.size());
+  tx.itf_pu_epoch = field_.pu_epoch();
+  tx.itf_shrink_epoch = field_.shrink_epoch();
+  tx.itf_ub = interference;  // exact again: the bound's slack resets
+  tx.itf_ub_pu_epoch = field_.pu_epoch();
   if (interference <= 0.0) return std::numeric_limits<double>::infinity();
   return tx.signal_power / interference;
 }
@@ -721,17 +718,16 @@ double CollectionMac::EvaluateSir(Transmission& tx) {
 void CollectionMac::ReevaluateOngoingSirs() {
   if (active_tx_.empty()) return;
   SyncPuField();
-  const bool cached = field_.engine() == spectrum::SirEngine::kCached;
   for (Transmission& tx : active_tx_) {
     if (!tx.receiver_ok) continue;  // verdict already sealed
-    if (cached && tx.last_eval_epoch == field_.change_epoch()) {
+    if (tx.last_eval_epoch == field_.change_epoch()) {
       // No SIR-lowering event since this floor was set: interferers have
       // only dropped out, the SIR only rose, and min() would return the
       // stored floor unchanged — skipping is bit-exact.
       ++field_.work().reeval_skipped;
       continue;
     }
-    if (cached && TrySirBoundSkip(tx)) {
+    if (TrySirBoundSkip(tx)) {
       tx.last_eval_epoch = field_.change_epoch();
       continue;
     }

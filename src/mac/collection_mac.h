@@ -98,11 +98,6 @@ struct MacConfig {
   // 0 keeps retrying indefinitely — the fault-free default, where a repair
   // is expected to re-point the route.
   std::int32_t dead_hop_retx_budget = 0;
-
-  // SIR evaluation engine (interference_field.h). kCached is bit-identical
-  // to kDirect on every scenario — the direct engine exists as the property
-  // tests' reference and the throughput bench's before/after baseline.
-  spectrum::SirEngine sir_engine = spectrum::SirEngine::kCached;
 };
 
 // Aggregate counters for one collection run.
@@ -253,6 +248,25 @@ class CollectionMac {
   // (scenario, seed) pair, exported as perf.* counters by RunWithNextHops.
   [[nodiscard]] const spectrum::FieldWork& sir_work() const { return field_.work(); }
 
+  // One transmission on the air, as ForEachOnAir reports it.
+  struct OnAir {
+    NodeId transmitter = graph::kInvalidNode;
+    NodeId receiver = graph::kInvalidNode;
+    double signal_power = 0.0;  // received power at the receiver
+    double min_sir = 0.0;       // SIR floor so far; frozen once !receiver_ok
+    bool receiver_ok = true;    // false: verdict sealed (busy / captured)
+  };
+  // Read-only view of the air, in the active-list order the SIR sums run
+  // in. The SIR oracle test (tests/mac/) recomputes every open reception's
+  // SIR from positions against it.
+  template <typename Fn>
+  void ForEachOnAir(Fn&& fn) const {
+    for (const Transmission& tx : active_tx_) {
+      fn(OnAir{tx.transmitter, tx.receiver, tx.signal_power, tx.min_sir,
+               tx.receiver_ok});
+    }
+  }
+
   [[nodiscard]] const MacConfig& config() const { return config_; }
   [[nodiscard]] geom::Vec2 position(NodeId node) const { return positions_[node]; }
   [[nodiscard]] std::int32_t node_count() const {
@@ -312,10 +326,10 @@ class CollectionMac {
     // Dirty-set reevaluation state (interference_field.h): the change epoch
     // at the last min-SIR floor update.
     std::int64_t last_eval_epoch = -1;
-    // Append-incremental interference memo (kCached engine): the full
-    // interference sum — PU terms plus the SU terms of active_tx_[0,
-    // itf_count) — valid while no swap-and-pop reordered the list
-    // (itf_shrink_epoch) and the active-PU set is unchanged (itf_pu_epoch).
+    // Append-incremental interference memo: the full interference sum —
+    // PU terms plus the SU terms of active_tx_[0, itf_count) — valid while
+    // no swap-and-pop reordered the list (itf_shrink_epoch) and the
+    // active-PU set is unchanged (itf_pu_epoch).
     // New interferers only ever append, so extending the stored double by
     // the tail [itf_count, size) runs the exact operation sequence a
     // from-scratch re-sum would.
@@ -323,11 +337,11 @@ class CollectionMac {
     std::int32_t itf_count = -1;
     std::int64_t itf_pu_epoch = -1;
     std::int64_t itf_shrink_epoch = -1;
-    // Interference upper bound (kCached engine): exact at the last full
-    // evaluation, then grown by each new interferer's gain while the PU set
-    // is unchanged. Removals only widen the slack, so signal/itf_ub is a
-    // SIR lower bound — when it clears min_sir (with an FP-safety margin)
-    // the refloor provably cannot move the floor and is skipped.
+    // Interference upper bound: exact at the last full evaluation, then
+    // grown by each new interferer's gain while the PU set is unchanged.
+    // Removals only widen the slack, so signal/itf_ub is a SIR lower bound
+    // — when it clears min_sir (with an FP-safety margin) the refloor
+    // provably cannot move the floor and is skipped.
     double itf_ub = 0.0;
     std::int64_t itf_ub_pu_epoch = -1;
   };

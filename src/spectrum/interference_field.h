@@ -4,12 +4,13 @@
 // Deployments are static, so the received power P·d^{-α} of every ordered
 // (transmitter, receiver) pair is a run constant. PairGainCache computes
 // each gain once, on first use, and EvaluateSir becomes a fixed-order sum
-// of cached doubles. Because a cached gain is the *same double* the direct
-// expression produces (ReceivedPowerSquared over DistanceSquared, identical
-// inputs), and the summation order never changes, the cached engine is
-// bit-identical to the direct one — min-SIR floors, trace digests and all.
-// tests/mac/sir_engine_test.cc pins that equivalence over randomized
-// scenarios; tests/spectrum/interference_field_test.cc pins the gains.
+// of cached doubles. Because a cached gain is the *same double* the
+// from-positions expression produces (ReceivedPowerSquared over
+// DistanceSquared, identical inputs), and the summation order never
+// changes, every memo and skip below is bit-exact — min-SIR floors, trace
+// digests and all. The SIR oracle test in tests/mac/ steps the MAC event
+// by event and recomputes every reception's SIR from positions;
+// tests/spectrum/interference_field_test.cc pins the gains.
 //
 // Epoch counters support the MAC's dirty-set reevaluation:
 //  * change_epoch advances on every event that can LOWER an ongoing
@@ -30,11 +31,8 @@
 // activity most slots change nothing and whole refloors vanish. The MAC
 // calls it once per slot, on the slot's first SIR or audit need.
 //
-// SirEngine::kDirect computes every gain from positions on every use (no
-// cache, no skips, no memos) while keeping the identical summation order —
-// the reference the property tests and bench_sim_throughput compare
-// against. All work is tallied in FieldWork; the counts are pure functions
-// of (scenario, seed), so perf regressions are caught by exact counter
+// All work is tallied in FieldWork; the counts are pure functions of
+// (scenario, seed), so perf regressions are caught by exact counter
 // comparison (tools/bench_delta.py) instead of wall-clock thresholds.
 #ifndef CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 #define CRN_SPECTRUM_INTERFERENCE_FIELD_H_
@@ -52,15 +50,6 @@
 
 namespace crn::spectrum {
 
-// Which SIR evaluation engine a run uses. Both produce bit-identical
-// results; kDirect exists as the reference/baseline for property tests and
-// for before/after work accounting in the throughput bench.
-enum class SirEngine : std::uint8_t { kCached, kDirect };
-
-inline const char* ToString(SirEngine engine) {
-  return engine == SirEngine::kCached ? "cached" : "direct";
-}
-
 // Deterministic work tally for SIR evaluation. Every field is an exact,
 // seed-stable operation count (never a wall-clock quantity); RunWithNextHops
 // exports them as perf.* counters when a MetricsRegistry is attached.
@@ -69,8 +58,8 @@ struct FieldWork {
   // Interference terms computed from geometry — one DistanceSquared +
   // ReceivedPowerSquared per count. Cached-gain reads do NOT count here
   // (they are gain_cache_hits): this is the model-evaluation work the
-  // engine actually performs, the quantity the ≥3× bench criterion and the
-  // CI budget are pinned on.
+  // engine actually performs, the quantity the CI budget and the oracle
+  // test's ≥3× geometry-work check are pinned on.
   std::int64_t sir_terms_evaluated = 0;
   std::int64_t gain_cache_hits = 0;     // cached-gain reads
   std::int64_t gain_cache_misses = 0;   // first-use gain computations
@@ -199,54 +188,46 @@ class PairGainCache {
 // vectors.
 class InterferenceField {
  public:
-  InterferenceField(PathLoss loss, SirEngine engine,
-                    const std::vector<geom::Vec2>& su_positions, double su_power,
-                    const std::vector<geom::Vec2>& pu_positions, double pu_power)
-      : engine_(engine),
-        su_gains_(loss, su_power, su_positions, su_positions),
+  InterferenceField(PathLoss loss, const std::vector<geom::Vec2>& su_positions,
+                    double su_power, const std::vector<geom::Vec2>& pu_positions,
+                    double pu_power)
+      : su_gains_(loss, su_power, su_positions, su_positions),
         pu_gains_(pu_positions.empty()
                       ? PairGainCache(loss, su_power, {}, su_positions)
                       : PairGainCache(loss, pu_power, pu_positions, su_positions)),
         pu_sum_(su_positions.size(), 0.0),
         pu_sum_epoch_(su_positions.size(), -1) {}
 
-  [[nodiscard]] SirEngine engine() const { return engine_; }
   [[nodiscard]] FieldWork& work() { return work_; }
   [[nodiscard]] const FieldWork& work() const { return work_; }
 
   // Received power of SU `tx`'s signal at SU `rx`'s position.
   [[nodiscard]] double SuGain(std::int32_t tx, std::int32_t rx) {
-    if (engine_ == SirEngine::kCached) return su_gains_.Gain(tx, rx, work_);
-    ++work_.sir_terms_evaluated;
-    return su_gains_.Direct(tx, rx);
+    return su_gains_.Gain(tx, rx, work_);
   }
 
   // Received power of PU `pu`'s signal at SU `rx`'s position.
   [[nodiscard]] double PuGain(std::int32_t pu, std::int32_t rx) {
-    if (engine_ == SirEngine::kCached) return pu_gains_.Gain(pu, rx, work_);
-    ++work_.sir_terms_evaluated;
-    return pu_gains_.Direct(pu, rx);
+    return pu_gains_.Gain(pu, rx, work_);
   }
 
   // Aggregate PU interference at SU `rx` from `active_pus` (ascending PU
-  // id — the PrimaryNetwork active-list order). The cached engine memoizes
-  // the sum per receiver, keyed on pu_epoch: ADDC serializes siblings onto
-  // the same parent, so within one slot many evaluations target the same
-  // receiver and the memoized double — produced by the identical fixed-order
-  // sum — is bit-exact to reuse. The direct engine re-sums every time.
+  // id — the PrimaryNetwork active-list order), memoized per receiver and
+  // keyed on pu_epoch: ADDC serializes siblings onto the same parent, so
+  // within one slot many evaluations target the same receiver and the
+  // memoized double — produced by the identical fixed-order sum — is
+  // bit-exact to reuse.
   [[nodiscard]] double PuInterference(std::int32_t rx,
                                       const std::vector<std::int32_t>& active_pus) {
     const auto receiver = static_cast<std::size_t>(rx);
-    if (engine_ == SirEngine::kCached && pu_sum_epoch_[receiver] == pu_epoch_) {
+    if (pu_sum_epoch_[receiver] == pu_epoch_) {
       ++work_.pu_partials_reused;
       return pu_sum_[receiver];
     }
     double sum = 0.0;
     for (const std::int32_t pu : active_pus) sum += PuGain(pu, rx);
-    if (engine_ == SirEngine::kCached) {
-      pu_sum_[receiver] = sum;
-      pu_sum_epoch_[receiver] = pu_epoch_;
-    }
+    pu_sum_[receiver] = sum;
+    pu_sum_epoch_[receiver] = pu_epoch_;
     return sum;
   }
 
@@ -358,7 +339,6 @@ class InterferenceField {
   }
 
  private:
-  SirEngine engine_;
   FieldWork work_;
   PairGainCache su_gains_;
   PairGainCache pu_gains_;
@@ -367,7 +347,7 @@ class InterferenceField {
   std::int64_t shrink_epoch_ = 0;
   std::vector<std::int32_t> previous_active_pus_;
   // Per-receiver PU interference sums, valid while pu_sum_epoch_ matches
-  // pu_epoch_ (kCached only).
+  // pu_epoch_.
   std::vector<double> pu_sum_;
   std::vector<std::int64_t> pu_sum_epoch_;
 };

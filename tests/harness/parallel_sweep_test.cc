@@ -5,6 +5,9 @@
 // digests both.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "harness/profiler.h"
 #include "harness/sweep.h"
 #include "obs/metrics.h"
@@ -103,17 +106,14 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
   // The bench_sim_throughput contract: an addc_only sweep's captured perf.*
   // counters are pure functions of (scenario, seed) — the same at any jobs
   // value — which is what lets CI compare them against a committed baseline
-  // exactly. Runs both engines as points, like the bench's verification
-  // sweep does.
+  // exactly.
   const auto make = [](std::int32_t jobs, obs::MetricsRegistry* metrics) {
     core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
     config.seed = 11;
     SweepSpec spec;
-    spec.title = "engines";
-    spec.parameter_name = "engine";
-    spec.points.push_back({"cached", config});
-    config.direct_sir_engine = true;
-    spec.points.push_back({"direct", config});
+    spec.title = "perf counters";
+    spec.parameter_name = "n";
+    spec.points.push_back({"n", config});
     spec.repetitions = 2;
     spec.jobs = jobs;
     spec.collect_digests = true;
@@ -126,11 +126,9 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
   const SweepResult serial = RunSweep(make(1, &serial_metrics));
   const SweepResult parallel = RunSweep(make(4, &parallel_metrics));
 
-  // Both engines, same scenarios, same digests — at every jobs value.
-  ASSERT_EQ(serial.summaries.size(), 2u);
+  // Same scenarios, same digests — at every jobs value.
+  ASSERT_EQ(serial.summaries.size(), 1u);
   EXPECT_NE(serial.summaries[0].addc_trace_digest, 0u);
-  EXPECT_EQ(serial.summaries[0].addc_trace_digest,
-            serial.summaries[1].addc_trace_digest);
   EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
 
   // The captured counter state is identical and carries the perf.* keys the
@@ -138,7 +136,6 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
   ASSERT_EQ(serial.metric_values.size(), parallel.metric_values.size());
   ASSERT_FALSE(serial.metric_values.empty());
   bool saw_cached_terms = false;
-  bool saw_direct_evals = false;
   for (std::size_t i = 0; i < serial.metric_values.size(); ++i) {
     EXPECT_EQ(serial.metric_values[i].first, parallel.metric_values[i].first);
     EXPECT_EQ(serial.metric_values[i].second, parallel.metric_values[i].second);
@@ -146,12 +143,8 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
         "perf.sir_terms_evaluated{engine=cached}") {
       saw_cached_terms = serial.metric_values[i].second > 0;
     }
-    if (serial.metric_values[i].first == "perf.sir_evaluations{engine=direct}") {
-      saw_direct_evals = serial.metric_values[i].second > 0;
-    }
   }
   EXPECT_TRUE(saw_cached_terms);
-  EXPECT_TRUE(saw_direct_evals);
 }
 
 TEST(ParallelSweepTest, ProfilerIsObservationOnly) {
@@ -239,32 +232,50 @@ TEST(ParallelSweepTest, DigestsAndMetricsArePinnedAcrossJobsAndGrain) {
   EXPECT_GT(reference_metrics.GetCounter("prefab.bytes").value(), 0);
 }
 
-TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
-  // Cache on (shared immutable prefabs) vs off (every cell deploys its own
-  // geometry, the pre-cache behaviour) must be bit-identical — the cache
-  // is a pure memoization of a deterministic build.
-  SweepSpec cached_spec = TinySpec(4);
-  SweepSpec rebuilt_spec = TinySpec(4);
-  rebuilt_spec.prefab_cache = false;
-  const SweepResult cached = RunSweep(cached_spec);
-  const SweepResult rebuilt = RunSweep(rebuilt_spec);
-  ASSERT_NE(cached.trace_digest, 0u);
-  EXPECT_EQ(cached.trace_digest, rebuilt.trace_digest);
-  ASSERT_EQ(cached.summaries.size(), rebuilt.summaries.size());
-  for (std::size_t i = 0; i < cached.summaries.size(); ++i) {
-    EXPECT_EQ(cached.summaries[i].addc_trace_digest,
-              rebuilt.summaries[i].addc_trace_digest);
-    ExpectStatsIdentical(cached.summaries[i].addc_delay_ms,
-                         rebuilt.summaries[i].addc_delay_ms);
+// Test-local reference for ComparisonSummary::addc_trace_digest (sweep.h):
+// the FNV fold of the per-repetition ADDC trace digests, in repetition
+// order.
+std::uint64_t FoldRepDigests(const std::vector<std::uint64_t>& digests) {
+  std::uint64_t fold = 0xCBF29CE484222325ULL;
+  for (const std::uint64_t digest : digests) {
+    for (int byte = 0; byte < 8; ++byte) {
+      fold ^= (digest >> (8 * byte)) & 0xFFU;
+      fold *= 0x100000001B3ULL;
+    }
   }
+  return fold;
+}
 
-  // With the cache off, no prefab.* metrics may appear — the counters
-  // describe cache behaviour, not the sweep.
+TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
+  // Cells served a shared prefab must simulate exactly what a cell that
+  // deploys its own geometry would: every (point, rep) cell is re-run here
+  // on a privately built Scenario(config, rep) — no cache involved — and
+  // the sweep's per-point digests and delay statistics must match.
   obs::MetricsRegistry metrics;
-  rebuilt_spec.metrics = &metrics;
-  RunSweep(rebuilt_spec);
-  for (const obs::SnapshotEntry& entry : metrics.Capture(0).entries) {
-    EXPECT_EQ(entry.key.rfind("prefab.", 0), std::string::npos) << entry.key;
+  SweepSpec spec = TinySpec(4);
+  spec.metrics = &metrics;
+  const SweepResult cached = RunSweep(spec);
+  ASSERT_GT(metrics.GetCounter("prefab.hits").value(), 0);
+  ASSERT_EQ(cached.summaries.size(), spec.points.size());
+  for (std::size_t point = 0; point < spec.points.size(); ++point) {
+    SCOPED_TRACE(spec.points[point].label);
+    std::vector<std::uint64_t> digests;
+    std::vector<double> addc_delay, coolest_delay;
+    for (std::int32_t rep = 0; rep < spec.repetitions; ++rep) {
+      const core::Scenario scenario(spec.points[point].config,
+                                    static_cast<std::uint64_t>(rep));
+      core::AuditReport report;
+      core::RunOptions options;
+      options.audit_report = &report;
+      addc_delay.push_back(core::RunAddc(scenario, options).delay_ms);
+      digests.push_back(report.trace_digest);
+      coolest_delay.push_back(core::RunCoolest(scenario, spec.metric).delay_ms);
+    }
+    const ComparisonSummary& summary = cached.summaries[point];
+    ASSERT_NE(summary.addc_trace_digest, 0u);
+    EXPECT_EQ(summary.addc_trace_digest, FoldRepDigests(digests));
+    ExpectStatsIdentical(summary.addc_delay_ms, core::Summarize(addc_delay));
+    ExpectStatsIdentical(summary.coolest_delay_ms, core::Summarize(coolest_delay));
   }
 }
 

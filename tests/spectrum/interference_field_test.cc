@@ -17,9 +17,29 @@ std::vector<Vec2> SuPositions() {
 
 std::vector<Vec2> PuPositions() { return {{2.0, 2.0}, {8.0, 1.0}, {5.0, 9.0}}; }
 
-InterferenceField MakeField(SirEngine engine, double alpha = 4.0) {
-  return InterferenceField(PathLoss(alpha), engine, SuPositions(), 1.5,
-                           PuPositions(), 6.0);
+constexpr double kSuPower = 1.5;
+constexpr double kPuPower = 6.0;
+
+InterferenceField MakeField(double alpha = 4.0) {
+  return InterferenceField(PathLoss(alpha), SuPositions(), kSuPower,
+                           PuPositions(), kPuPower);
+}
+
+// Test-local oracle: the received power of `tx_pos`'s signal at `rx_pos`,
+// computed from positions on every call (no cache, no memo).
+double FromPositions(double power, Vec2 tx_pos, Vec2 rx_pos, double alpha = 4.0) {
+  return PathLoss(alpha).ReceivedPowerSquared(power,
+                                              geom::DistanceSquared(tx_pos, rx_pos));
+}
+
+// Ascending-id sum of the active PUs' powers at SU `rx`, from positions.
+double PuSumFromPositions(std::int32_t rx, const std::vector<std::int32_t>& active) {
+  double sum = 0.0;
+  for (const std::int32_t pu : active) {
+    sum += FromPositions(kPuPower, PuPositions()[static_cast<std::size_t>(pu)],
+                         SuPositions()[static_cast<std::size_t>(rx)]);
+  }
+  return sum;
 }
 
 TEST(PairGainCacheTest, GainMatchesDirectBitForBit) {
@@ -68,33 +88,31 @@ TEST(PairGainCacheTest, RejectsNonPositivePower) {
 }
 
 TEST(InterferenceFieldTest, EnginesAgreeOnEveryGain) {
-  InterferenceField cached = MakeField(SirEngine::kCached);
-  InterferenceField direct = MakeField(SirEngine::kDirect);
-  for (std::int32_t tx = 0; tx < 5; ++tx) {
-    for (std::int32_t rx = 0; rx < 5; ++rx) {
-      EXPECT_EQ(cached.SuGain(tx, rx), direct.SuGain(tx, rx));
+  // The field's cached gains equal the from-positions expression bit for
+  // bit — at alpha=4's fast path and the general std::pow path alike.
+  for (const double alpha : {4.0, 3.5}) {
+    InterferenceField field = MakeField(alpha);
+    for (std::int32_t tx = 0; tx < 5; ++tx) {
+      for (std::int32_t rx = 0; rx < 5; ++rx) {
+        EXPECT_EQ(field.SuGain(tx, rx),
+                  FromPositions(kSuPower, SuPositions()[static_cast<std::size_t>(tx)],
+                                SuPositions()[static_cast<std::size_t>(rx)], alpha))
+            << "alpha=" << alpha << " tx=" << tx << " rx=" << rx;
+      }
+    }
+    for (std::int32_t pu = 0; pu < 3; ++pu) {
+      for (std::int32_t rx = 0; rx < 5; ++rx) {
+        EXPECT_EQ(field.PuGain(pu, rx),
+                  FromPositions(kPuPower, PuPositions()[static_cast<std::size_t>(pu)],
+                                SuPositions()[static_cast<std::size_t>(rx)], alpha))
+            << "alpha=" << alpha << " pu=" << pu << " rx=" << rx;
+      }
     }
   }
-  for (std::int32_t pu = 0; pu < 3; ++pu) {
-    for (std::int32_t rx = 0; rx < 5; ++rx) {
-      EXPECT_EQ(cached.PuGain(pu, rx), direct.PuGain(pu, rx));
-    }
-  }
-}
-
-TEST(InterferenceFieldTest, DirectEngineBypassesCache) {
-  InterferenceField field = MakeField(SirEngine::kDirect);
-  (void)field.SuGain(0, 1);
-  (void)field.SuGain(0, 1);
-  (void)field.PuGain(2, 4);
-  EXPECT_EQ(field.work().gain_cache_hits, 0);
-  EXPECT_EQ(field.work().gain_cache_misses, 0);
-  EXPECT_EQ(field.work().sir_terms_evaluated, 3);
-  EXPECT_EQ(field.su_rows_allocated(), 0);
 }
 
 TEST(InterferenceFieldTest, CachedEngineCountsOnlyMissesAsTerms) {
-  InterferenceField field = MakeField(SirEngine::kCached);
+  InterferenceField field = MakeField();
   (void)field.SuGain(0, 1);
   (void)field.SuGain(0, 1);
   (void)field.SuGain(0, 1);
@@ -104,14 +122,12 @@ TEST(InterferenceFieldTest, CachedEngineCountsOnlyMissesAsTerms) {
 }
 
 TEST(InterferenceFieldTest, PuInterferenceMemoIsBitExact) {
-  InterferenceField field = MakeField(SirEngine::kCached);
-  InterferenceField reference = MakeField(SirEngine::kDirect);
+  InterferenceField field = MakeField();
   const std::vector<std::int32_t> active{0, 2};
   EXPECT_TRUE(field.NotePuSample(active));
-  EXPECT_TRUE(reference.NotePuSample(active));
 
   const double first = field.PuInterference(1, active);
-  EXPECT_EQ(first, reference.PuInterference(1, active));
+  EXPECT_EQ(first, PuSumFromPositions(1, active));
   EXPECT_EQ(field.work().pu_partials_reused, 0);
 
   const double again = field.PuInterference(1, active);
@@ -120,12 +136,12 @@ TEST(InterferenceFieldTest, PuInterferenceMemoIsBitExact) {
 
   // A different receiver fills its own memo slot.
   const double other = field.PuInterference(3, active);
-  EXPECT_EQ(other, reference.PuInterference(3, active));
+  EXPECT_EQ(other, PuSumFromPositions(3, active));
   EXPECT_EQ(field.work().pu_partials_reused, 1);
 }
 
 TEST(InterferenceFieldTest, PuSetChangeInvalidatesMemo) {
-  InterferenceField field = MakeField(SirEngine::kCached);
+  InterferenceField field = MakeField();
   const std::vector<std::int32_t> first{0, 1};
   field.NotePuSample(first);
   const double before = field.PuInterference(2, first);
@@ -144,7 +160,7 @@ TEST(InterferenceFieldTest, PuSetChangeInvalidatesMemo) {
 // and a slot-boundary PU resample bumps change + pu only when the active
 // set actually changed.
 TEST(InterferenceFieldTest, EpochSemantics) {
-  InterferenceField field = MakeField(SirEngine::kCached);
+  InterferenceField field = MakeField();
   EXPECT_EQ(field.change_epoch(), 0);
   EXPECT_EQ(field.pu_epoch(), 0);
   EXPECT_EQ(field.shrink_epoch(), 0);
@@ -178,8 +194,7 @@ TEST(InterferenceFieldTest, EpochSemantics) {
 }
 
 TEST(InterferenceFieldTest, EmptyPuDeploymentIsUsable) {
-  InterferenceField field(PathLoss(4.0), SirEngine::kCached, SuPositions(), 1.0,
-                          {}, 0.0);
+  InterferenceField field(PathLoss(4.0), SuPositions(), 1.0, {}, 0.0);
   EXPECT_EQ(field.PuInterference(0, {}), 0.0);
   EXPECT_EQ(field.work().sir_terms_evaluated, 0);
 }

@@ -12,8 +12,11 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/env.h"
@@ -155,6 +158,19 @@ bool WriteArtifactOrComplain(const std::string& path, std::string_view bytes) {
   return true;
 }
 
+// Enumerated flags: a misspelt value must not silently run the default.
+// Prints the allowed values and returns false when `value` is not one.
+bool IsOneOf(const char* flag, const std::string& value,
+             std::initializer_list<std::string_view> allowed) {
+  for (const std::string_view choice : allowed) {
+    if (value == choice) return true;
+  }
+  std::cerr << "error: --" << flag << "=" << value << " is not one of";
+  for (const std::string_view choice : allowed) std::cerr << " " << choice;
+  std::cerr << "\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -229,6 +245,20 @@ int main(int argc, char** argv) {
       std::cerr << "error: unknown flag " << unknown << "\n";
     }
     std::cerr << "run with --help for usage\n";
+    return 2;
+  }
+  if (!IsOneOf("c2", c2, {"paper", "corrected"}) ||
+      !IsOneOf("algorithm", algorithm, {"addc", "coolest", "both"}) ||
+      !IsOneOf("metric", metric_name, {"accumulated", "highest", "mixed"})) {
+    return 2;
+  }
+  if (reps < 1) {
+    std::cerr << "error: --reps=" << reps << " must be at least 1\n";
+    return 2;
+  }
+  if (snapshots < 1) {
+    std::cerr << "error: --snapshots=" << snapshots
+              << " must be at least 1 (continuous-collection rounds)\n";
     return 2;
   }
   // Reject out-of-domain PU settings here, with the flag names, instead of

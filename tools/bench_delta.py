@@ -17,7 +17,7 @@ Checks, without any third-party dependency:
     meaningless, so a mismatch is exit 2 (incomparable), not a failure.
   * budget (--budget KEY, repeatable) — for every sweep title present in
     both files, current metrics[KEY] must not exceed
-    baseline * (1 + --tolerance). Default budget: the cached engine's
+    baseline * (1 + --tolerance). Default budget: the SIR engine's
     geometry-term count, the quantity DESIGN.md §10 pins. Keys spelled
     "pool.<field>" resolve from the sweep's scheduling-diagnostics section
     (tasks/chunks/steals/workers) instead of the metrics registry — steals
@@ -28,10 +28,9 @@ Checks, without any third-party dependency:
     misses/bytes): any drift means the keying rule or the fold changed.
   * --verify-digests — every sweep whose title starts with "engine
     verification" must carry the same addc_trace_digest on all its points
-    (the cached-vs-direct and prefab-vs-rebuild bit-identity contracts,
-    re-checked from the artifact).
-  * --min-term-ratio R — at the largest n among "... (cached)"/"... (direct)"
-    timing-sweep pairs, direct/cached perf.sir_terms_evaluated must be >= R.
+    (the sweep engine's determinism contract, re-checked from the
+    artifact). The SIR engine's exactness and its geometry-work ratio are
+    proven in ctest by the SIR oracle test in tests/mac/, not here.
   * --max-wall-ratio R — for every sweep title present in both files,
     current wall_seconds / baseline wall_seconds must be <= R. This is the
     only wall-clock gate; it exists to catch order-of-magnitude blowups
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 DEFAULT_BUDGET = ["perf.sir_terms_evaluated{engine=cached}"]
@@ -277,41 +275,6 @@ def check_wall_ratio(baseline: dict, current: dict,
     return problems
 
 
-def check_term_ratio(current: dict, minimum: float) -> list[str]:
-    # Pair "<prefix> (cached)" with "<prefix> (direct)" and test the pair
-    # with the largest n in its title (the ISSUE's headline scenario).
-    sweeps = sweeps_by_title(current)
-    best_n, best_pair = -1, None
-    for title, sweep in sweeps.items():
-        if not title.endswith(" (cached)"):
-            continue
-        partner = sweeps.get(title[:-len(" (cached)")] + " (direct)")
-        if partner is None:
-            continue
-        match = re.search(r"n=(\d+)", title)
-        n = int(match.group(1)) if match else 0
-        if n > best_n:
-            best_n, best_pair = n, (title, sweep, partner)
-    if best_pair is None:
-        return ["--min-term-ratio: no (cached)/(direct) timing-sweep pair "
-                "in current run"]
-    title, cached, direct = best_pair
-    cached_terms = cached.get("metrics", {}).get(
-        "perf.sir_terms_evaluated{engine=cached}")
-    direct_terms = direct.get("metrics", {}).get(
-        "perf.sir_terms_evaluated{engine=direct}")
-    if not cached_terms or not direct_terms:
-        return [f"{title}: perf.sir_terms_evaluated missing from metrics"]
-    ratio = direct_terms / cached_terms
-    print(f"bench_delta: {title}: direct/cached SIR terms "
-          f"{direct_terms}/{cached_terms} = {ratio:.2f}x "
-          f"(required >= {minimum:g}x)")
-    if ratio < minimum:
-        return [f"{title}: term ratio {ratio:.2f}x below required "
-                f"{minimum:g}x"]
-    return []
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -327,7 +290,6 @@ def main() -> int:
                         help="fractional budget slack (default 0: the "
                              "counters are deterministic)")
     parser.add_argument("--verify-digests", action="store_true")
-    parser.add_argument("--min-term-ratio", type=float, default=0.0)
     parser.add_argument("--max-wall-ratio", type=float, default=0.0,
                         help="gate: current/baseline wall_seconds per shared "
                              "sweep title must not exceed this (0 = wall "
@@ -346,8 +308,6 @@ def main() -> int:
         problems += check_exact(baseline, current, arguments.exact)
     if arguments.verify_digests:
         problems += check_digests(current)
-    if arguments.min_term_ratio > 0.0:
-        problems += check_term_ratio(current, arguments.min_term_ratio)
     if arguments.max_wall_ratio > 0.0:
         problems += check_wall_ratio(baseline, current,
                                      arguments.max_wall_ratio)
