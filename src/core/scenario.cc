@@ -1,6 +1,7 @@
 #include "core/scenario.h"
 
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -40,6 +41,25 @@ ScenarioConfig ScenarioConfig::ScaledDefaults(double scale) {
   config.num_pus = static_cast<std::int32_t>(std::lround(config.num_pus * scale));
   config.area_side *= std::sqrt(scale);  // area scales linearly with n and N
   return config;
+}
+
+std::string ScenarioGeometryError(const ScenarioConfig& config) {
+  std::ostringstream out;
+  if (config.num_sus <= 0) {
+    out << "n=" << config.num_sus << ": the secondary network needs at least one SU";
+  } else if (config.num_pus < 0) {
+    out << "N=" << config.num_pus << ": the PU count cannot be negative";
+  } else if (!(std::isfinite(config.area_side) && config.area_side > 0.0)) {
+    out << "area side=" << config.area_side
+        << " m: the deployment square needs a finite positive side";
+  } else if (!(std::isfinite(config.su_radius) && config.su_radius > 0.0)) {
+    out << "r=" << config.su_radius
+        << " m: the SU transmission radius must be finite and positive";
+  } else if (config.max_deployment_attempts <= 0) {
+    out << "max_deployment_attempts=" << config.max_deployment_attempts
+        << ": at least one deployment draw is needed";
+  }
+  return out.str();
 }
 
 Scenario::Scenario(const ScenarioConfig& config, std::uint64_t repetition)

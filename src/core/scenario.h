@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -84,6 +85,12 @@ struct ScenarioConfig {
   // Density-preserving shrink: n, N, and A scale together by `scale`.
   static ScenarioConfig ScaledDefaults(double scale = 0.25);
 };
+
+// Actionable message for a ScenarioConfig whose geometry cannot be deployed
+// (n <= 0, N < 0, a non-finite or non-positive area side or SU radius, no
+// deployment attempts), or "" when it can. ScenarioPrefab::Build enforces
+// it; CLIs and RunSweep call it first to reject bad input with a message.
+[[nodiscard]] std::string ScenarioGeometryError(const ScenarioConfig& config);
 
 // One deployed instance. The geometry (positions, graph, CDS tree) lives in
 // an immutable ScenarioPrefab: the single-argument constructor builds a

@@ -1,6 +1,8 @@
 #include "core/scenario_prefab.h"
 
 #include <bit>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -25,10 +27,18 @@ PrefabKey PrefabKey::Of(const ScenarioConfig& config,
 
 std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::Build(
     const ScenarioConfig& config, std::uint64_t repetition) {
-  CRN_CHECK(config.num_sus > 0);
-  CRN_CHECK(config.num_pus >= 0);
-  CRN_CHECK(config.area_side > 0.0);
-  CRN_CHECK(config.su_radius > 0.0);
+  std::string error;
+  std::shared_ptr<const ScenarioPrefab> prefab =
+      TryBuild(config, repetition, &error);
+  CRN_CHECK(prefab != nullptr) << error;
+  return prefab;
+}
+
+std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::TryBuild(
+    const ScenarioConfig& config, std::uint64_t repetition,
+    std::string* error) {
+  const std::string geometry_error = ScenarioGeometryError(config);
+  CRN_CHECK(geometry_error.empty()) << geometry_error;
 
   auto prefab = std::make_shared<ScenarioPrefab>();
   prefab->key = PrefabKey::Of(config, repetition);
@@ -43,11 +53,15 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::Build(
   // the attempt cap turns a mis-parameterized config into a clear error
   // instead of a hang.
   for (std::int32_t attempt = 0;; ++attempt) {
-    CRN_CHECK(attempt < config.max_deployment_attempts)
-        << "could not draw a connected secondary network in "
-        << config.max_deployment_attempts << " attempts; the configured "
-        << "density (n=" << config.num_sus << ", A=" << config.area()
-        << ", r=" << config.su_radius << ") is likely sub-critical";
+    if (attempt == config.max_deployment_attempts) {
+      std::ostringstream message;
+      message << "could not draw a connected secondary network in "
+              << config.max_deployment_attempts << " attempts; the configured "
+              << "density (n=" << config.num_sus << ", A=" << config.area()
+              << ", r=" << config.su_radius << ") is likely sub-critical";
+      *error = message.str();
+      return nullptr;
+    }
     prefab->su_positions.clear();
     prefab->su_positions.push_back(prefab->area.Center());  // base station
     auto sus = geom::UniformDeployment(config.num_sus, prefab->area, su_rng);

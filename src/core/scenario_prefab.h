@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -66,6 +67,12 @@ struct ScenarioPrefab {
   // contract the cache's equivalence mode re-verifies.
   static std::shared_ptr<const ScenarioPrefab> Build(
       const ScenarioConfig& config, std::uint64_t repetition);
+  // Build for input that may be sub-critical: returns nullptr and writes an
+  // actionable message to *error when no draw in max_deployment_attempts
+  // was connected, instead of failing the contract check.
+  static std::shared_ptr<const ScenarioPrefab> TryBuild(
+      const ScenarioConfig& config, std::uint64_t repetition,
+      std::string* error);
 
   // FNV-1a digest over positions, graph CSR, and tree structure; equal
   // digests certify a bit-identical prefab.

@@ -1,10 +1,10 @@
 #include "geom/deployment.h"
 
+#include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/check.h"
-#include "geom/spatial_grid.h"
+#include "geom/pair_sweep.h"
 
 namespace crn::geom {
 
@@ -61,27 +61,10 @@ std::vector<Vec2> ClusteredDeployment(std::int32_t count, std::int32_t cluster_c
   return points;
 }
 
-bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius) {
+bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb /*area*/,
+                         double radius) {
   if (points.size() <= 1) return true;
-  CRN_CHECK(radius > 0.0);
-  const SpatialGrid grid(points, area, radius);
-  std::vector<char> visited(points.size(), 0);
-  std::queue<std::int32_t> frontier;
-  frontier.push(0);
-  visited[0] = 1;
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const std::int32_t node = frontier.front();
-    frontier.pop();
-    grid.ForEachInDisk(points[node], radius, [&](std::int32_t neighbor) {
-      if (!visited[neighbor]) {
-        visited[neighbor] = 1;
-        ++reached;
-        frontier.push(neighbor);
-      }
-    });
-  }
-  return reached == points.size();
+  return PairSweep(points, radius).IsConnected();
 }
 
 }  // namespace crn::geom

@@ -31,8 +31,10 @@ std::vector<Vec2> ClusteredDeployment(std::int32_t count, std::int32_t cluster_c
                                       double cluster_radius, Aabb area, Rng& rng);
 
 // True when the unit-disk graph over `points` with communication radius
-// `radius` is connected (single component). O(n · neighbors) via BFS over a
-// spatial grid.
+// `radius` is connected (single component): a union-find over the cells of
+// a PairSweep (pair_sweep.h), after a scan for isolated points. O(n ·
+// neighbors); the sweep bins the points' own bounding box, so `area` is
+// not consulted.
 bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius);
 
 }  // namespace crn::geom

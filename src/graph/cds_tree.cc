@@ -1,9 +1,8 @@
 #include "graph/cds_tree.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <queue>
-#include <tuple>
 
 #include "common/check.h"
 
@@ -21,16 +20,24 @@ const char* ToString(NodeRole role) {
   return "unknown";
 }
 
-std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,
-                                        const BfsLayering& bfs) {
+namespace {
+
+// Nodes in (BFS level, id) order: a counting sort by level over ascending
+// ids.
+std::vector<NodeId> RankByLevel(const BfsLayering& bfs) {
+  std::vector<std::int32_t> start(bfs.max_level + 2, 0);
+  for (const std::int32_t level : bfs.level) ++start[level + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<NodeId> ranked(bfs.level.size());
+  for (NodeId v = 0; v < static_cast<NodeId>(ranked.size()); ++v) {
+    ranked[start[bfs.level[v]]++] = v;
+  }
+  return ranked;
+}
+
+std::vector<char> GreedyMis(const UnitDiskGraph& graph,
+                            const std::vector<NodeId>& ranked) {
   const auto n = graph.node_count();
-  // Rank nodes by (BFS level, id); the BFS visitation order from a FIFO
-  // queue over sorted adjacency lists is exactly that order per level, but
-  // we sort explicitly to make the invariant independent of queue details.
-  std::vector<NodeId> ranked(bfs.order);
-  std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
-    return std::make_pair(bfs.level[a], a) < std::make_pair(bfs.level[b], b);
-  });
   std::vector<char> in_mis(n, 0);
   std::vector<char> dominated(n, 0);
   for (NodeId v : ranked) {
@@ -44,22 +51,29 @@ std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,
   return in_mis;
 }
 
+}  // namespace
+
+std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,
+                                        const BfsLayering& bfs) {
+  return GreedyMis(graph, RankByLevel(bfs));
+}
+
 CdsTree::CdsTree(const UnitDiskGraph& graph, NodeId root) : root_(root) {
   const auto n = graph.node_count();
   CRN_CHECK(root >= 0 && root < n);
   const BfsLayering bfs = BreadthFirstLayering(graph, root);
-  const std::vector<char> in_mis = MaximalIndependentSet(graph, bfs);
+  const std::vector<NodeId> ranked = RankByLevel(bfs);
+  const std::vector<char> in_mis = GreedyMis(graph, ranked);
   CRN_CHECK(in_mis[root]) << "root has BFS rank 0 and must be a dominator";
+
+  // rank[v] is v's position in (level, id) order, so comparing ranks
+  // compares (level, id) pairs.
+  std::vector<std::int32_t> rank(n);
+  for (std::int32_t i = 0; i < n; ++i) rank[ranked[i]] = i;
 
   role_.assign(n, NodeRole::kDominatee);
   parent_.assign(n, kInvalidNode);
-  std::vector<std::int64_t> rank(n, 0);
   {
-    std::vector<NodeId> ranked(bfs.order);
-    std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
-      return std::make_pair(bfs.level[a], a) < std::make_pair(bfs.level[b], b);
-    });
-    for (std::int32_t i = 0; i < n; ++i) rank[ranked[i]] = i;
     // Connect dominators in rank order. `connected[w]` means w is a
     // dominator already attached to the tree.
     std::vector<char> connected(n, 0);
@@ -74,16 +88,12 @@ CdsTree::CdsTree(const UnitDiskGraph& graph, NodeId root) : root_(root) {
       // construction deterministic.
       NodeId best_c = kInvalidNode;
       NodeId best_w = kInvalidNode;
-      auto better = [&](NodeId w, NodeId c) {
-        if (best_w == kInvalidNode) return true;
-        const auto lhs = std::make_tuple(bfs.level[w], w, bfs.level[c], c);
-        const auto rhs = std::make_tuple(bfs.level[best_w], best_w, bfs.level[best_c], best_c);
-        return lhs < rhs;
-      };
       for (NodeId c : graph.Neighbors(u)) {
         if (in_mis[c]) continue;  // connectors are never dominators
         for (NodeId w : graph.Neighbors(c)) {
-          if (w != u && in_mis[w] && connected[w] && better(w, c)) {
+          if (!connected[w]) continue;  // u itself is not connected yet
+          if (best_w == kInvalidNode || rank[w] < rank[best_w] ||
+              (w == best_w && rank[c] < rank[best_c])) {
             best_c = c;
             best_w = w;
           }
@@ -110,10 +120,7 @@ CdsTree::CdsTree(const UnitDiskGraph& graph, NodeId root) : root_(root) {
     NodeId best = kInvalidNode;
     for (NodeId u : graph.Neighbors(v)) {
       if (role_[u] != NodeRole::kDominator) continue;
-      if (best == kInvalidNode ||
-          std::make_pair(bfs.level[u], u) < std::make_pair(bfs.level[best], best)) {
-        best = u;
-      }
+      if (best == kInvalidNode || rank[u] < rank[best]) best = u;
     }
     CRN_CHECK(best != kInvalidNode)
         << "node " << v << " has no adjacent dominator; MIS must dominate";
@@ -129,21 +136,19 @@ CdsTree::CdsTree(const UnitDiskGraph& graph, NodeId root) : root_(root) {
   }
   depth_.assign(n, -1);
   depth_[root_] = 0;
-  std::queue<NodeId> frontier;
-  frontier.push(root_);
-  std::int32_t reached = 1;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
+  std::vector<NodeId> frontier{root_};  // FIFO: expanded up to `head`
+  frontier.reserve(n);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId v = frontier[head];
     max_depth_ = std::max(max_depth_, depth_[v]);
     max_children_ = std::max(max_children_, static_cast<std::int32_t>(children_[v].size()));
     for (NodeId c : children_[v]) {
       depth_[c] = depth_[v] + 1;
-      frontier.push(c);
-      ++reached;
+      frontier.push_back(c);
     }
   }
-  CRN_CHECK(reached == n) << "parent pointers contain a cycle";
+  CRN_CHECK(static_cast<std::int32_t>(frontier.size()) == n)
+      << "parent pointers contain a cycle";
 
   for (NodeId v = 0; v < n; ++v) {
     switch (role_[v]) {

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <queue>
 #include <utility>
 
 #include "common/check.h"
-#include "geom/spatial_grid.h"
+#include "geom/pair_sweep.h"
 
 namespace crn::graph {
 
@@ -18,26 +19,30 @@ UnitDiskGraph::UnitDiskGraph(std::vector<geom::Vec2> positions, geom::Aabb area,
   offsets_.assign(n + 1, 0);
   if (n == 0) return;
 
-  const geom::SpatialGrid grid(positions_, area_, radius_);
-  // First pass: degrees; second pass: fill CSR.
-  std::vector<std::int32_t> degree(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    grid.ForEachInDisk(positions_[v], radius_, [&](NodeId u) {
-      if (u != v) ++degree[v];
-    });
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + degree[v];
+  // One sweep lists every edge once and counts both endpoints' degrees.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  geom::PairSweep(positions_, radius_).ForEachPair([&](NodeId a, NodeId b) {
+    edges.emplace_back(a, b);
+    ++offsets_[a + 1];
+    ++offsets_[b + 1];
+  });
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  // Rows in sweep order, then transposed: reading the rows in id order and
+  // appending each row's id to its neighbours' rows leaves every row sorted
+  // by id, and the transpose of a symmetric graph is the graph itself.
+  // Sorted rows make HasEdge O(log d) and iteration independent of cells.
+  std::vector<NodeId> unsorted(offsets_[n]);
+  std::vector<std::int32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [a, b] : edges) {
+    unsorted[cursor[a]++] = b;
+    unsorted[cursor[b]++] = a;
   }
   adjacency_.resize(offsets_[n]);
-  std::vector<std::int32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  std::copy(offsets_.begin(), offsets_.end() - 1, cursor.begin());
   for (NodeId v = 0; v < n; ++v) {
-    grid.ForEachInDisk(positions_[v], radius_, [&](NodeId u) {
-      if (u != v) adjacency_[cursor[v]++] = u;
-    });
-    // Sorted neighbor lists make HasEdge O(log d) and iteration
-    // deterministic regardless of grid cell order.
-    std::sort(adjacency_.begin() + offsets_[v], adjacency_.begin() + offsets_[v + 1]);
+    for (std::int32_t k = offsets_[v]; k < offsets_[v + 1]; ++k) {
+      adjacency_[cursor[unsorted[k]]++] = v;
+    }
   }
 }
 
@@ -109,19 +114,18 @@ BfsLayering BreadthFirstLayering(const UnitDiskGraph& graph, NodeId root) {
   result.parent.assign(n, kInvalidNode);
   result.order.reserve(n);
 
-  std::queue<NodeId> frontier;
-  frontier.push(root);
+  // `order` is the FIFO queue: entries past `head` are discovered but not
+  // yet expanded.
+  result.order.push_back(root);
   result.level[root] = 0;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    result.order.push_back(v);
+  for (std::size_t head = 0; head < result.order.size(); ++head) {
+    const NodeId v = result.order[head];
     result.max_level = std::max(result.max_level, result.level[v]);
     for (NodeId u : graph.Neighbors(v)) {
       if (result.level[u] < 0) {
         result.level[u] = result.level[v] + 1;
         result.parent[u] = v;
-        frontier.push(u);
+        result.order.push_back(u);
       }
     }
   }

@@ -1,7 +1,7 @@
 // Unit-disk graph over the secondary network (§III): nodes are the base
 // station plus n SUs; an edge exists whenever two nodes are within the SU
-// transmission radius r. Adjacency is stored in CSR form and built in
-// O(n · avg_degree) with a spatial grid.
+// transmission radius r. Adjacency is stored in CSR form, each row sorted by
+// id, and built in O(n · avg_degree) from one geom::PairSweep.
 #ifndef CRN_GRAPH_UNIT_DISK_GRAPH_H_
 #define CRN_GRAPH_UNIT_DISK_GRAPH_H_
 

@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
+#include "common/check.h"
 #include "common/env.h"
 #include "harness/flags.h"
 #include "harness/parallel_runner.h"
@@ -48,6 +50,13 @@ SweepResult RunSweep(const SweepSpec& spec) {
   sweep.repetitions = spec.repetitions;
   sweep.jobs = ResolveJobs(spec.jobs);
   if (!spec.points.empty()) sweep.seed = spec.points.front().config.seed;
+
+  // Reject an undeployable point here, by name, rather than in a worker.
+  for (const SweepPoint& point : spec.points) {
+    const std::string error = core::ScenarioGeometryError(point.config);
+    CRN_CHECK(error.empty()) << "sweep \"" << spec.title << "\" point "
+                             << point.label << ": " << error;
+  }
 
   const auto reps = static_cast<std::int64_t>(spec.repetitions);
   const std::int64_t algorithms = spec.addc_only ? 1 : 2;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "geom/deployment.h"
 
 namespace crn::core {
@@ -105,6 +108,43 @@ TEST(ScenarioTest, SubCriticalDensityFailsLoudly) {
   config.area_side = 2000.0;  // hopelessly sparse for r = 10
   config.max_deployment_attempts = 5;
   EXPECT_THROW(Scenario(config, 0), ContractViolation);
+}
+
+TEST(ScenarioTest, TryBuildReportsASubCriticalDraw) {
+  ScenarioConfig config = TinyConfig();
+  config.num_sus = 20;
+  config.area_side = 2000.0;
+  config.max_deployment_attempts = 5;
+  std::string error;
+  EXPECT_EQ(ScenarioPrefab::TryBuild(config, 0, &error), nullptr);
+  EXPECT_NE(error.find("could not draw a connected secondary network in 5"),
+            std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_NE(ScenarioPrefab::TryBuild(TinyConfig(), 0, &error), nullptr);
+  EXPECT_TRUE(error.empty());
+}
+
+TEST(ScenarioConfigTest, GeometryErrorNamesTheBadField) {
+  EXPECT_EQ(ScenarioGeometryError(TinyConfig()), "");
+  const auto names = [](auto change, const std::string& field) {
+    ScenarioConfig config = TinyConfig();
+    change(config);
+    return ScenarioGeometryError(config).find(field) != std::string::npos;
+  };
+  EXPECT_TRUE(names([](ScenarioConfig& c) { c.num_sus = 0; }, "n=0"));
+  EXPECT_TRUE(names([](ScenarioConfig& c) { c.num_pus = -1; }, "N=-1"));
+  EXPECT_TRUE(names([](ScenarioConfig& c) { c.area_side = -5.0; }, "area side=-5"));
+  EXPECT_TRUE(
+      names([](ScenarioConfig& c) { c.area_side = std::nan(""); }, "area side=nan"));
+  EXPECT_TRUE(names([](ScenarioConfig& c) { c.su_radius = 0.0; }, "r=0"));
+  EXPECT_TRUE(names([](ScenarioConfig& c) { c.su_radius = INFINITY; }, "r=inf"));
+  EXPECT_TRUE(names([](ScenarioConfig& c) { c.max_deployment_attempts = 0; },
+                    "max_deployment_attempts=0"));
+  // Build enforces the same check.
+  ScenarioConfig bad = TinyConfig();
+  bad.su_radius = 0.0;
+  EXPECT_THROW(ScenarioPrefab::Build(bad, 0), ContractViolation);
 }
 
 TEST(ScenarioTest, MakePrimaryNetworkUsesDeployedPositions) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "unit_disk_layouts.h"
 
 namespace crn::geom {
 namespace {
@@ -112,6 +113,33 @@ TEST(ConnectivityTest, DenseUniformIsConnected) {
   // 500 nodes, r=10 on 50x50: supercritical by a wide margin.
   const auto points = UniformDeployment(500, area, rng);
   EXPECT_TRUE(IsUnitDiskConnected(points, area, 10.0));
+}
+
+// IsUnitDiskConnected agrees with a breadth-first search over all pairs on
+// every layout of unit_disk_layouts.h.
+class ConnectivityOracleTest
+    : public ::testing::TestWithParam<oracle::UnitDiskLayout> {};
+
+TEST_P(ConnectivityOracleTest, MatchesBruteForce) {
+  const oracle::UnitDiskLayout& layout = GetParam();
+  EXPECT_EQ(IsUnitDiskConnected(layout.points, layout.area, layout.radius),
+            oracle::OracleConnected(layout));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, ConnectivityOracleTest, ::testing::ValuesIn(oracle::UnitDiskLayouts()),
+    [](const ::testing::TestParamInfo<oracle::UnitDiskLayout>& layout) {
+      return layout.param.name;
+    });
+
+TEST(ConnectivityTest, OracleLayoutsCoverBothOutcomes) {
+  int connected = 0;
+  int disconnected = 0;
+  for (const oracle::UnitDiskLayout& layout : oracle::UnitDiskLayouts()) {
+    ++(oracle::OracleConnected(layout) ? connected : disconnected);
+  }
+  EXPECT_GE(connected, 8);
+  EXPECT_GE(disconnected, 8);
 }
 
 }  // namespace

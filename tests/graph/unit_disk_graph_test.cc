@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "geom/deployment.h"
+#include "../geom/unit_disk_layouts.h"
 
 namespace crn::graph {
 namespace {
@@ -47,22 +48,32 @@ TEST(UnitDiskGraphTest, NeighborListsSortedAndSymmetric) {
   }
 }
 
-TEST(UnitDiskGraphTest, EdgesMatchBruteForce) {
-  Rng rng(2);
-  const Aabb area = Aabb::Square(40.0);
-  const auto points = geom::UniformDeployment(80, area, rng);
-  const UnitDiskGraph graph(points, area, 8.0);
-  std::int64_t brute_edges = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::size_t j = i + 1; j < points.size(); ++j) {
-      const bool expect_edge = geom::Distance(points[i], points[j]) <= 8.0;
-      if (expect_edge) ++brute_edges;
-      ASSERT_EQ(graph.HasEdge(static_cast<NodeId>(i), static_cast<NodeId>(j)),
-                expect_edge);
-    }
+// Every row equals the all-pairs oracle's, on every layout of
+// unit_disk_layouts.h.
+class UnitDiskGraphOracleTest
+    : public ::testing::TestWithParam<geom::oracle::UnitDiskLayout> {};
+
+TEST_P(UnitDiskGraphOracleTest, EdgesMatchBruteForce) {
+  const geom::oracle::UnitDiskLayout& layout = GetParam();
+  const UnitDiskGraph graph(layout.points, layout.area, layout.radius);
+  const std::vector<std::vector<NodeId>> rows = geom::oracle::OracleRows(layout);
+  ASSERT_EQ(graph.node_count(), static_cast<std::int32_t>(rows.size()));
+  std::int64_t directed_edges = 0;
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    const auto neighbors = graph.Neighbors(v);
+    ASSERT_EQ(std::vector<NodeId>(neighbors.begin(), neighbors.end()), rows[v])
+        << "row " << v;
+    directed_edges += static_cast<std::int64_t>(rows[v].size());
   }
-  EXPECT_EQ(graph.edge_count(), brute_edges);
+  EXPECT_EQ(2 * graph.edge_count(), directed_edges);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, UnitDiskGraphOracleTest,
+    ::testing::ValuesIn(geom::oracle::UnitDiskLayouts()),
+    [](const ::testing::TestParamInfo<geom::oracle::UnitDiskLayout>& layout) {
+      return layout.param.name;
+    });
 
 TEST(UnitDiskGraphTest, ConnectivityDetection) {
   const std::vector<Vec2> islands{{0, 0}, {1, 0}, {20, 20}, {21, 20}};

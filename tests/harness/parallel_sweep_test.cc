@@ -226,10 +226,14 @@ TEST(ParallelSweepTest, DigestsAndMetricsArePinnedAcrossJobsAndGrain) {
   }
 
   // The prefab counters fold into the registry and are themselves
-  // jobs-invariant: 2 distinct (seed, rep) geometries serve all 8 cells.
+  // jobs-invariant: 2 distinct (seed, rep) geometries serve all 8 cells,
+  // and the bytes are exactly those two prefabs' estimates.
   EXPECT_EQ(reference_metrics.GetCounter("prefab.misses").value(), 2);
   EXPECT_EQ(reference_metrics.GetCounter("prefab.hits").value(), 6);
-  EXPECT_GT(reference_metrics.GetCounter("prefab.bytes").value(), 0);
+  const core::ScenarioConfig config = TinySpec(1).points.front().config;
+  EXPECT_EQ(reference_metrics.GetCounter("prefab.bytes").value(),
+            core::ScenarioPrefab::Build(config, 0)->ApproxBytes() +
+                core::ScenarioPrefab::Build(config, 1)->ApproxBytes());
 }
 
 // Test-local reference for ComparisonSummary::addc_trace_digest (sweep.h):

@@ -4,7 +4,10 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
+
+#include "common/check.h"
 
 namespace crn::harness {
 namespace {
@@ -64,6 +67,22 @@ TEST(SweepTest, RunSweepComputesOneSummaryPerPoint) {
   EXPECT_EQ(result.trace_digest, 0u) << "digests are opt-in";
   EXPECT_GT(result.wall_seconds, 0.0);
   EXPECT_GT(result.summaries[0].addc_delay_ms.mean, 0.0);
+}
+
+TEST(SweepTest, RunSweepRejectsAnUndeployablePointByName) {
+  SweepSpec spec;
+  spec.title = "bad sweep";
+  core::ScenarioConfig config = TinyConfig();
+  spec.points.push_back({"ok", config});
+  config.area_side = 0.0;
+  spec.points.push_back({"flat", config});
+  try {
+    RunSweep(spec);
+    FAIL() << "RunSweep accepted a zero-area point";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("point flat: area side=0 m"), std::string::npos) << what;
+  }
 }
 
 TEST(SweepTest, RenderDelayTablePrintsOneRowPerPoint) {

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -182,6 +183,10 @@ int main(int argc, char** argv) {
   }
 
   const double scale = flags.GetDouble("scale", 0.25);
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    std::cerr << "error: --scale=" << scale << " must be in (0, 1]\n";
+    return 2;
+  }
   core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(scale);
   config.num_sus = static_cast<std::int32_t>(flags.GetInt("n", config.num_sus));
   config.area_side = flags.GetDouble("area", config.area_side);
@@ -256,6 +261,32 @@ int main(int argc, char** argv) {
     std::cerr << "error: --reps=" << reps << " must be at least 1\n";
     return 2;
   }
+  if (jobs < 0) {
+    std::cerr << "error: --jobs=" << jobs
+              << " must be at least 0 (0 = hardware concurrency)\n";
+    return 2;
+  }
+  if (grain < 0) {
+    std::cerr << "error: --grain=" << grain << " must be at least 0 (0 = auto)\n";
+    return 2;
+  }
+  if (metrics_stride < 0) {
+    std::cerr << "error: --metrics-stride=" << metrics_stride
+              << " must be at least 0 (0 = final state only)\n";
+    return 2;
+  }
+  if (flags.Has("continuous-interval-ms") && !(continuous_ms > 0.0)) {
+    std::cerr << "error: --continuous-interval-ms=" << continuous_ms
+              << " must be positive (omit it for a snapshot run)\n";
+    return 2;
+  }
+  if (const std::string geometry_error = core::ScenarioGeometryError(config);
+      !geometry_error.empty()) {
+    std::cerr << "error: invalid secondary-network settings (--n, --area, "
+                 "--su-radius, --scale): "
+              << geometry_error << "\n";
+    return 2;
+  }
   if (snapshots < 1) {
     std::cerr << "error: --snapshots=" << snapshots
               << " must be at least 1 (continuous-collection rounds)\n";
@@ -288,6 +319,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Every repetition's geometry, built once up front: a sub-critical density
+  // shows only when drawing, and is bad input like a bad flag.
+  std::vector<std::shared_ptr<const core::ScenarioPrefab>> prefabs;
+  for (std::int32_t rep = 0; rep < reps; ++rep) {
+    std::string error;
+    prefabs.push_back(core::ScenarioPrefab::TryBuild(config, rep, &error));
+    if (prefabs.back() == nullptr) {
+      std::cerr << "error: repetition " << rep << ": " << error << "\n";
+      return 2;
+    }
+  }
+
   faults::FaultPlan fault_plan;
   if (!faults_path.empty()) fault_plan = faults::LoadPlanFile(faults_path);
 
@@ -317,7 +360,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    const core::Scenario scenario(config, 0);
+    const core::Scenario scenario(config, 0, prefabs[0]);
     core::RunOptions options;
     // The digest line below is the machine-checked restore contract, so the
     // auditor (trace digest) and a registry (metrics digest) always attach —
@@ -454,7 +497,8 @@ int main(int argc, char** argv) {
     const harness::ParallelRunner runner(jobs, grain);
     const auto run_rep = [&](std::int64_t rep) {
       RepOutcome& outcome = outcomes[static_cast<std::size_t>(rep)];
-      const core::Scenario scenario(config, static_cast<std::uint64_t>(rep));
+      const core::Scenario scenario(config, static_cast<std::uint64_t>(rep),
+                                   prefabs[static_cast<std::size_t>(rep)]);
       outcome.pcr = scenario.pcr();
       if (algorithm == "addc" || algorithm == "both") {
         outcome.has_addc = true;
@@ -599,7 +643,7 @@ int main(int argc, char** argv) {
     }
 
     if (!svg_path.empty()) {
-      const core::Scenario scenario(config, 0);
+      const core::Scenario scenario(config, 0, prefabs[0]);
       const graph::CdsTree& tree = scenario.collection_tree();
       std::ostringstream out;
       harness::SvgOptions svg_options;
@@ -649,7 +693,8 @@ int main(int argc, char** argv) {
   }
 
   for (std::int32_t rep = 0; rep < reps; ++rep) {
-    const core::Scenario scenario(config, rep);
+    const core::Scenario scenario(config, rep,
+                                  prefabs[static_cast<std::size_t>(rep)]);
     if (!svg_path.empty() && rep == 0) {
       const graph::CdsTree& tree = scenario.collection_tree();
       std::ostringstream out;

@@ -18,19 +18,9 @@ Checks, without any third-party dependency:
   * budget (--budget KEY, repeatable) — for every sweep title present in
     both files, current metrics[KEY] must not exceed
     baseline * (1 + --tolerance). Default budget: the SIR engine's
-    geometry-term count, the quantity DESIGN.md §10 pins. Keys spelled
-    "pool.<field>" resolve from the sweep's scheduling-diagnostics section
-    (tasks/chunks/steals/workers) instead of the metrics registry — steals
-    are scheduling-dependent, so they budget (upper-bound) rather than pin.
-  * exact (--exact KEY, repeatable) — like --budget but strict equality:
-    the key must match the baseline bit for bit on every shared title.
-    This is the gate for deterministic cache accounting (prefab.hits/
-    misses/bytes): any drift means the keying rule or the fold changed.
-  * --verify-digests — every sweep whose title starts with "engine
-    verification" must carry the same addc_trace_digest on all its points
-    (the sweep engine's determinism contract, re-checked from the
-    artifact). The SIR engine's exactness and its geometry-work ratio are
-    proven in ctest by the SIR oracle test in tests/mac/, not here.
+    geometry-term count, the quantity DESIGN.md §10 pins. The SIR engine's
+    exactness and its geometry-work ratio are proven in ctest by the SIR
+    oracle test in tests/mac/, not here.
   * --max-wall-ratio R — for every sweep title present in both files,
     current wall_seconds / baseline wall_seconds must be <= R. This is the
     only wall-clock gate; it exists to catch order-of-magnitude blowups
@@ -136,12 +126,7 @@ def report_profile(baseline: dict, current: dict) -> None:
 
 
 def metric_value(sweep: dict, key: str):
-    """Resolves a comparison key in one sweep section. "pool.<field>" keys
-    read the scheduling-diagnostics section WriteBenchJson emits next to
-    "metrics"; everything else reads the merged metrics registry."""
-    if key.startswith("pool."):
-        pool = sweep.get("pool", {})
-        return pool.get(key[len("pool."):]) if isinstance(pool, dict) else None
+    """The value of a counter key in one sweep's metrics registry."""
     return sweep.get("metrics", {}).get(key)
 
 
@@ -179,68 +164,6 @@ def check_budget(baseline: dict, current: dict, keys: list[str],
     if compared == 0:
         problems.append("no budget counter was compared — title or key "
                         "drift between baseline and current")
-    return problems
-
-
-def check_exact(baseline: dict, current: dict, keys: list[str]) -> list[str]:
-    """Deterministic keys (prefab.* cache accounting): strict equality on
-    every title the baseline carries the key for. A missing title or key on
-    the current side is itself a failure — the counters are supposed to be
-    exact functions of the pinned instance, so silence means the fold or
-    the bench shape changed."""
-    problems: list[str] = []
-    current_sweeps = sweeps_by_title(current)
-    compared = 0
-    for title, base in sweeps_by_title(baseline).items():
-        for key in keys:
-            base_value = metric_value(base, key)
-            if base_value is None:
-                continue
-            sweep = current_sweeps.get(title)
-            value = metric_value(sweep, key) if sweep is not None else None
-            if value is None:
-                problems.append(f"{title}: {key} missing from current run "
-                                f"(baseline {base_value})")
-                continue
-            compared += 1
-            verdict = "OK" if value == base_value else "MISMATCH"
-            print(f"bench_delta: {title}: {key} {value} vs baseline "
-                  f"{base_value} (exact) {verdict}")
-            if value != base_value:
-                problems.append(f"{title}: {key} {value} != baseline "
-                                f"{base_value} (exact match required)")
-    if compared == 0:
-        problems.append("--exact: no exact counter was compared — title or "
-                        "key drift between baseline and current")
-    return problems
-
-
-VERIFICATION_TITLE_PREFIXES = ("engine verification",)
-
-
-def check_digests(current: dict) -> list[str]:
-    problems: list[str] = []
-    checked = 0
-    for sweep in current["sweeps"]:
-        title = sweep.get("title", "")
-        if not title.startswith(VERIFICATION_TITLE_PREFIXES):
-            continue
-        digests = [point.get("addc_trace_digest")
-                   for point in sweep.get("points", [])]
-        checked += 1
-        if len(digests) < 2 or None in digests:
-            problems.append(f"{title}: verification points missing "
-                            "addc_trace_digest")
-        elif len(set(digests)) != 1:
-            problems.append(f"{title}: verification digests differ: "
-                            f"{digests}")
-        else:
-            print(f"bench_delta: {title}: {len(digests)} "
-                  f"digests identical ({digests[0]})")
-    if checked == 0:
-        problems.append("--verify-digests: no verification sweep "
-                        f"(titles {VERIFICATION_TITLE_PREFIXES}) in "
-                        "current run")
     return problems
 
 
@@ -282,14 +205,9 @@ def main() -> int:
     parser.add_argument("--budget", action="append", default=[],
                         help="counter key that must not exceed the baseline "
                              f"(repeatable; default {DEFAULT_BUDGET[0]})")
-    parser.add_argument("--exact", action="append", default=[],
-                        help="counter key that must equal the baseline "
-                             "exactly on every shared title (repeatable; "
-                             "e.g. prefab.hits)")
     parser.add_argument("--tolerance", type=float, default=0.0,
                         help="fractional budget slack (default 0: the "
                              "counters are deterministic)")
-    parser.add_argument("--verify-digests", action="store_true")
     parser.add_argument("--max-wall-ratio", type=float, default=0.0,
                         help="gate: current/baseline wall_seconds per shared "
                              "sweep title must not exceed this (0 = wall "
@@ -304,10 +222,6 @@ def main() -> int:
     problems = check_budget(baseline, current,
                             arguments.budget or DEFAULT_BUDGET,
                             arguments.tolerance)
-    if arguments.exact:
-        problems += check_exact(baseline, current, arguments.exact)
-    if arguments.verify_digests:
-        problems += check_digests(current)
     if arguments.max_wall_ratio > 0.0:
         problems += check_wall_ratio(baseline, current,
                                      arguments.max_wall_ratio)
