@@ -46,13 +46,14 @@ int main(int argc, char** argv) {
 
   const std::int32_t rounds = 8;
   const double factors[] = {0.25, 0.5, 0.75, 1.0, 1.5, 2.0};
-  std::vector<core::ContinuousResult> results(6);
+  std::vector<core::CollectionResult> runs(6);
   const harness::ParallelRunner runner(options.jobs);
   runner.ForEachIndex(6, [&](std::int64_t index) {
-    const auto interval = static_cast<sim::TimeNs>(
+    core::RunOptions continuous;
+    continuous.snapshot_interval = static_cast<sim::TimeNs>(
         sim::FromMilliseconds(single.delay_ms / factors[index]));
-    results[static_cast<std::size_t>(index)] =
-        core::RunAddcContinuous(scenario, interval, rounds);
+    continuous.snapshot_count = rounds;
+    runs[static_cast<std::size_t>(index)] = core::RunAddc(scenario, continuous);
   }, &profiler);
 
   harness::Table table({"load factor f", "interval (ms)", "mean snapshot delay (ms)",
@@ -62,20 +63,21 @@ int main(int argc, char** argv) {
     const double factor = factors[variant];
     const auto interval = static_cast<sim::TimeNs>(
         sim::FromMilliseconds(single.delay_ms / factor));
-    const core::ContinuousResult& result = results[variant];
+    const core::CollectionResult& run = runs[variant];
+    const core::ContinuousResult result = core::SummarizeContinuous(run, interval);
     table.AddRow({harness::FormatDouble(factor, 2),
                   harness::FormatDouble(sim::ToMilliseconds(interval), 0),
                   harness::FormatDouble(result.mean_snapshot_delay_ms, 0),
                   harness::FormatDouble(result.delay_drift_ms_per_round, 1),
                   result.sustainable ? "yes" : "NO",
-                  harness::FormatDouble(result.aggregate.capacity_fraction, 4)});
+                  harness::FormatDouble(run.capacity_fraction, 4)});
     harness::Json row = harness::Json::Object();
     row["load_factor"] = factor;
     row["interval_ms"] = sim::ToMilliseconds(interval);
     row["mean_snapshot_delay_ms"] = result.mean_snapshot_delay_ms;
     row["delay_drift_ms_per_round"] = result.delay_drift_ms_per_round;
     row["sustainable"] = result.sustainable;
-    row["achieved_rate_w"] = result.aggregate.capacity_fraction;
+    row["achieved_rate_w"] = run.capacity_fraction;
     series.Push(std::move(row));
   }
   table.PrintMarkdown(std::cout);

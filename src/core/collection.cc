@@ -147,6 +147,10 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     CRN_CHECK(options.spans == nullptr)
         << "packet-span tracing is not checkpointable — detach the span "
            "tracer from checkpointed or restored runs";
+    CRN_CHECK(options.snapshot_count == 1)
+        << "continuous collection is not checkpointable (snapshot_count="
+        << options.snapshot_count
+        << ") — the checkpoint's run section binds one snapshot only";
   }
 
   sim::Simulator simulator;
@@ -246,7 +250,14 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
   } else {
     // A restored run resumes mid-collection; LoadState replaced this.
-    mac.StartSnapshotCollection();
+    std::vector<graph::NodeId> producers;
+    for (graph::NodeId v = 0; v < mac.node_count(); ++v) {
+      if (v != scenario.sink()) producers.push_back(v);
+    }
+    mac.StartContinuousCollection(
+        producers,
+        options.snapshot_interval > 0 ? options.snapshot_interval : config.slot,
+        options.snapshot_count);
   }
 
   // Serializes the full run — every section a restored run reads above, in
@@ -385,6 +396,13 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
                       static_cast<double>(result.mac.delivered);
   }
   result.delivery_ratio = result.mac.delivery_ratio();
+  for (std::size_t k = 0; k < mac.snapshot_finish_time().size(); ++k) {
+    const sim::TimeNs finish = mac.snapshot_finish_time()[k];
+    const sim::TimeNs created = mac.snapshot_created_time()[k];
+    if (finish >= 0 && created >= 0) {
+      result.snapshot_delay_ms.push_back(sim::ToMilliseconds(finish - created));
+    }
+  }
 
   std::vector<double> delivery_ms;
   delivery_ms.reserve(mac.delivery_time().size());
@@ -416,8 +434,9 @@ CollectionResult RunAddc(const Scenario& scenario, const RunOptions& options) {
   for (graph::NodeId v = 0; v < n; ++v) {
     next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
   }
-  CollectionResult result =
-      RunWithNextHops(scenario, std::move(next_hop), "ADDC", options);
+  CollectionResult result = RunWithNextHops(
+      scenario, std::move(next_hop),
+      options.snapshot_interval > 0 ? "ADDC/continuous" : "ADDC", options);
   result.dominators = tree.dominator_count();
   result.connectors = tree.connector_count();
 
@@ -491,79 +510,30 @@ ComparisonResult RunComparison(const ScenarioConfig& config, std::uint64_t repet
   return result;
 }
 
-ContinuousResult RunAddcContinuous(const Scenario& scenario, sim::TimeNs interval,
-                                   std::int32_t snapshot_count) {
-  const ScenarioConfig& config = scenario.config();
-  const graph::CdsTree& tree = scenario.collection_tree();
-  std::vector<graph::NodeId> next_hop(tree.node_count(), scenario.sink());
-  for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
-    next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
-  }
-
-  sim::Simulator simulator;
-  pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
-  const mac::MacConfig mac_config =
-      MakeMacConfig(config, scenario.pcr(), RunOptions{});
-  mac::CollectionMac mac(simulator, primary, scenario.su_positions(),
-                         scenario.area(), scenario.sink(), next_hop, mac_config,
-                         scenario.MakeRunRng().Stream("mac"));
-  std::vector<graph::NodeId> producers;
-  for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
-    if (v != scenario.sink()) producers.push_back(v);
-  }
-  mac.StartContinuousCollection(producers, interval, snapshot_count);
-  simulator.Run();
-
+ContinuousResult SummarizeContinuous(const CollectionResult& run,
+                                     sim::TimeNs interval) {
+  const std::vector<double>& delays = run.snapshot_delay_ms;
   ContinuousResult result;
-  result.aggregate.algorithm = "ADDC/continuous";
-  result.aggregate.mac = mac.stats();
-  result.aggregate.completed = mac.finished();
-  result.aggregate.delay_ms = sim::ToMilliseconds(result.aggregate.mac.finish_time);
-  if (result.aggregate.mac.finish_time > 0) {
-    result.aggregate.capacity_fraction =
-        static_cast<double>(result.aggregate.mac.delivered) *
-        static_cast<double>(config.slot) /
-        static_cast<double>(result.aggregate.mac.finish_time);
-  }
-  result.aggregate.pcr = scenario.pcr();
-  result.aggregate.kappa = scenario.kappa();
-  result.aggregate.theory_po = SpectrumOpportunityProbability(
-      scenario.pcr(), config.num_pus, config.area(), config.pu_activity);
-  result.aggregate.theorem2_capacity_fraction =
-      result.aggregate.theory_po > 0.0
-          ? Theorem2CapacityFraction(scenario.kappa(), result.aggregate.theory_po)
-          : 0.0;
-
-  for (std::int32_t k = 0; k < snapshot_count; ++k) {
-    const sim::TimeNs finish = mac.snapshot_finish_time()[k];
-    const sim::TimeNs created = mac.snapshot_created_time()[k];
-    if (finish >= 0 && created >= 0) {
-      result.snapshot_delay_ms.push_back(sim::ToMilliseconds(finish - created));
-    }
-  }
-  if (!result.snapshot_delay_ms.empty()) {
-    result.mean_snapshot_delay_ms =
-        Summarize(result.snapshot_delay_ms).mean;
-  }
+  if (!delays.empty()) result.mean_snapshot_delay_ms = Summarize(delays).mean;
   // Drift: compare the first and last third of completed rounds.
-  const auto completed = static_cast<std::int32_t>(result.snapshot_delay_ms.size());
+  const auto completed = static_cast<std::int32_t>(delays.size());
   if (completed >= 3) {
     const std::int32_t third = completed / 3;
     double head = 0.0;
     double tail = 0.0;
-    for (std::int32_t i = 0; i < third; ++i) head += result.snapshot_delay_ms[i];
+    for (std::int32_t i = 0; i < third; ++i) head += delays[i];
     for (std::int32_t i = completed - third; i < completed; ++i) {
-      tail += result.snapshot_delay_ms[i];
+      tail += delays[i];
     }
     head /= third;
     tail /= third;
     result.delay_drift_ms_per_round =
         (tail - head) / static_cast<double>(completed - third);
   }
+  // A completed run completed every round.
   result.sustainable =
-      result.aggregate.completed && completed == snapshot_count &&
-      result.delay_drift_ms_per_round <
-          0.1 * sim::ToMilliseconds(interval);
+      run.completed &&
+      result.delay_drift_ms_per_round < 0.1 * sim::ToMilliseconds(interval);
   return result;
 }
 

@@ -32,8 +32,13 @@ struct CollectionResult {
   bool completed = false;           // all packets reached the base station
   double delay_ms = 0.0;            // data-collection delay (§III definition)
   double capacity_fraction = 0.0;   // achieved rate / W (W = 1 packet/slot)
-  double jain_delivery_fairness = 0.0;  // Jain index over delivery times
+  // Jain index over each origin's first delivery time.
+  double jain_delivery_fairness = 0.0;
   double avg_hops = 0.0;            // mean per-packet hop count at delivery
+  // Completion − creation of every snapshot round that completed, in round
+  // order: one entry equal to delay_ms on a completed snapshot run, one per
+  // round under continuous collection (RunOptions::snapshot_count).
+  std::vector<double> snapshot_delay_ms;
   // delivered / seeded: 1.0 on fault-free runs, < 1 when churn partitioned
   // the network or the retransmission budget dropped packets (graceful
   // degradation — see DESIGN.md §9).
@@ -68,6 +73,14 @@ struct RunOptions {
   bool slot_aware_defer = true;             // false = fire on expiry
   double sensing_false_alarm = 0.0;         // detector error axes (A5)
   double sensing_missed_detection = 0.0;
+
+  // --- workload: `snapshot_count` snapshots (one packet per non-sink SU
+  // each), one every `snapshot_interval` (0 = τ) from time 0. The defaults
+  // are the paper's snapshot; more rounds are continuous collection
+  // (SummarizeContinuous). RunAddc labels interval > 0 "ADDC/continuous".
+  sim::TimeNs snapshot_interval = 0;
+  std::int32_t snapshot_count = 1;
+
   // When non-null, an InvariantAuditor runs alongside the collection and
   // its finalized report is written here. The pairwise-separation check is
   // auto-disabled under conventional-MAC emulation (nonzero backoff
@@ -128,8 +141,8 @@ struct RunOptions {
   // silent digest fork. `metrics` must be a fresh registry (its saved
   // contents are restored into it). A resumed run is bit-identical — trace
   // digest, metrics digest, audit report — to the uninterrupted one.
-  // Packet-span tracing is not checkpointable; `spans` must be null when
-  // either field is set.
+  // Packet-span tracing and continuous collection are not checkpointable;
+  // `spans` must be null and `snapshot_count` 1 when either field is set.
   std::int64_t checkpoint_every_events = 0;
   std::function<void(const std::string& blob, std::uint64_t events_executed)>
       checkpoint_sink;
@@ -163,14 +176,12 @@ ComparisonResult RunComparison(const ScenarioConfig& config, std::uint64_t repet
                                    routing::TemperatureMetric::kAccumulated);
 
 // --- continuous data collection ---------------------------------------
-// Repeats the snapshot workload every `interval` for `snapshot_count`
-// rounds over the ADDC tree. The offered load is sustainable iff
-// per-snapshot completion delays stabilize instead of growing round over
-// round — the operational meaning of Theorem 2's capacity bound. The
-// smallest sustainable interval ≈ n·B/capacity.
+// A run with RunOptions::snapshot_count > 1 offers one snapshot every
+// `snapshot_interval`. The offered load is sustainable iff per-snapshot
+// completion delays stabilize instead of growing round over round — the
+// operational meaning of Theorem 2's capacity bound. The smallest
+// sustainable interval ≈ n·B/capacity.
 struct ContinuousResult {
-  CollectionResult aggregate;           // whole-run MAC stats and diagnostics
-  std::vector<double> snapshot_delay_ms;  // completion − creation, per round
   double mean_snapshot_delay_ms = 0.0;
   // Linear-drift estimate: (mean delay of last third − first third) per
   // round; ≈ 0 when the load is inside capacity, strongly positive when the
@@ -178,8 +189,10 @@ struct ContinuousResult {
   double delay_drift_ms_per_round = 0.0;
   bool sustainable = false;  // completed and drift below 10% of the interval
 };
-ContinuousResult RunAddcContinuous(const Scenario& scenario, sim::TimeNs interval,
-                                   std::int32_t snapshot_count);
+// Judges a continuous run from its per-round delays; `interval` is the
+// run's RunOptions::snapshot_interval.
+ContinuousResult SummarizeContinuous(const CollectionResult& run,
+                                     sim::TimeNs interval);
 
 // --- determinism verification -----------------------------------------
 // Dual-run trace-digest check: executes the identical ADDC run twice and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/check.h"
 
@@ -17,21 +18,47 @@ const char* ToString(C2Variant variant) {
   return "unknown";
 }
 
+namespace {
+
+// Lemma 2's c2 without the domain checks (α > 2, c2 > 0).
+double RawC2(double alpha, C2Variant variant) {
+  const double hex = 6.0 * std::pow(std::sqrt(3.0) / 2.0, -alpha);
+  return variant == C2Variant::kPaper ? 6.0 + hex * (1.0 / (alpha - 2.0) - 1.0)
+                                      : 6.0 + hex / (alpha - 2.0);
+}
+
+}  // namespace
+
 double C2(double alpha, C2Variant variant) {
   CRN_CHECK(alpha > 2.0) << "alpha=" << alpha;
-  const double hex = 6.0 * std::pow(std::sqrt(3.0) / 2.0, -alpha);
-  double c2 = 0.0;
-  switch (variant) {
-    case C2Variant::kPaper:
-      c2 = 6.0 + hex * (1.0 / (alpha - 2.0) - 1.0);
-      CRN_CHECK(c2 > 0.0) << "the paper's printed c2 is non-positive at alpha="
-                          << alpha << " (see DESIGN.md §4); use kCorrected";
-      break;
-    case C2Variant::kCorrected:
-      c2 = 6.0 + hex / (alpha - 2.0);
-      break;
-  }
+  const double c2 = RawC2(alpha, variant);
+  CRN_CHECK(c2 > 0.0) << "the paper's printed c2 is non-positive at alpha="
+                      << alpha << " (see DESIGN.md §4); use kCorrected";
   return c2;
+}
+
+std::string PcrParamsError(const PcrParams& params, C2Variant variant) {
+  std::ostringstream out;
+  if (!(std::isfinite(params.alpha) && params.alpha > 2.0)) {
+    out << "alpha=" << params.alpha
+        << ": the path-loss exponent must exceed 2 (Lemma 2's interference "
+           "sum diverges otherwise)";
+  } else if (!(params.pu_power > 0.0)) {
+    out << "P_p=" << params.pu_power << ": the PU transmit power must be positive";
+  } else if (!(params.su_power > 0.0)) {
+    out << "P_s=" << params.su_power << ": the SU transmit power must be positive";
+  } else if (!(params.pu_radius > 0.0)) {
+    out << "R=" << params.pu_radius
+        << " m: the PU transmission radius must be positive";
+  } else if (!(params.su_radius > 0.0)) {
+    out << "r=" << params.su_radius
+        << " m: the SU transmission radius must be positive";
+  } else if (!(RawC2(params.alpha, variant) > 0.0)) {
+    out << "the paper's printed c2 is non-positive at alpha=" << params.alpha
+        << " (DESIGN.md §4), so no carrier-sensing range follows from it; "
+           "use the corrected constant (--c2=corrected)";
+  }
+  return out.str();
 }
 
 namespace {

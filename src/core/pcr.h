@@ -22,6 +22,8 @@
 #ifndef CRN_CORE_PCR_H_
 #define CRN_CORE_PCR_H_
 
+#include <string>
+
 #include "common/units.h"
 
 namespace crn::core {
@@ -47,6 +49,13 @@ struct PcrParams {
 // paper variant is non-positive at this α (α ≳ 4.3), where the printed
 // formula stops being meaningful.
 double C2(double alpha, C2Variant variant);
+
+// Actionable message for parameters the range formulas cannot take (α not
+// above 2, a non-positive power or radius, the paper's c2 non-positive at
+// this α), or "" when Kappa() can evaluate them. The CRN_CHECKs inside stay
+// as contracts; CLIs and RunSweep call this first to reject bad input.
+[[nodiscard]] std::string PcrParamsError(const PcrParams& params,
+                                         C2Variant variant);
 
 // κ of eq. (16): PCR in units of the SU radius r.
 //

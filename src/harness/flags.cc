@@ -70,6 +70,22 @@ std::int64_t FlagParser::GetInt(const std::string& name, std::int64_t fallback) 
   return fallback;
 }
 
+std::int64_t FlagParser::GetIntInRange(const std::string& name,
+                                       std::int64_t fallback, std::int64_t min,
+                                       std::int64_t max) {
+  const std::int64_t value = GetInt(name, fallback);
+  if (value < min) {
+    errors_.push_back("--" + name + "=" + std::to_string(value) +
+                      " must be at least " + std::to_string(min));
+  } else if (value > max) {
+    errors_.push_back("--" + name + "=" + std::to_string(value) +
+                      " must be at most " + std::to_string(max));
+  } else {
+    return value;
+  }
+  return fallback;
+}
+
 bool FlagParser::GetBool(const std::string& name, bool fallback) {
   consumed_.insert(name);
   const auto it = values_.find(name);

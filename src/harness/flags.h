@@ -27,6 +27,12 @@ class FlagParser {
   double GetDouble(const std::string& name, double fallback);
   std::int64_t GetInt(const std::string& name, std::int64_t fallback);
   bool GetBool(const std::string& name, bool fallback);
+  // Integer read bounded to [min, max]. The returned value — the flag's or,
+  // when absent, the fallback (which may come from the environment) — is
+  // checked; outside the range errors() gets "--name=V must be at least
+  // min" (or "at most max") and the fallback is returned.
+  std::int64_t GetIntInRange(const std::string& name, std::int64_t fallback,
+                             std::int64_t min, std::int64_t max);
 
   [[nodiscard]] const std::vector<std::string>& positionals() const {
     return positionals_;

@@ -96,20 +96,4 @@ void AttachFlightRecorderProbe(RunProfiler& profiler,
   recorder.set_wall_probe([&profiler] { return profiler.Now(); });
 }
 
-void FoldFlightRecorderIntoProfiler(const sim::FlightRecorder& recorder,
-                                    RunProfiler& profiler) {
-  const std::vector<std::string>& names = recorder.kind_names();
-  const std::vector<sim::KindCounters>& counters = recorder.counters();
-  for (std::size_t k = 0; k < counters.size(); ++k) {
-    const double wall =
-        recorder.fire_wall_seconds(static_cast<std::uint16_t>(k));
-    if (counters[k].fires == 0 && wall <= 0.0) continue;
-    const std::string& name =
-        k < names.size() && !names[k].empty() ? names[k] : names[0];
-    profiler.RecordSpan("sched.fire:" + name,
-                        "fires=" + std::to_string(counters[k].fires),
-                        /*begin_s=*/0.0, /*end_s=*/wall, /*worker=*/0);
-  }
-}
-
 }  // namespace crn::harness

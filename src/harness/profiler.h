@@ -94,14 +94,6 @@ class RunProfiler {
 void AttachFlightRecorderProbe(RunProfiler& profiler,
                                sim::FlightRecorder& recorder);
 
-// Folds the recorder's per-kind fire wall attribution into the profiler as
-// one closed "sched.fire:<kind>" span per active kind (label carries the
-// deterministic fire count). PhaseSummary() and the BENCH json `profile`
-// section then report scheduler callback wall time broken down by event
-// kind. Call after the run; kinds with no fires and no wall are skipped.
-void FoldFlightRecorderIntoProfiler(const sim::FlightRecorder& recorder,
-                                    RunProfiler& profiler);
-
 }  // namespace crn::harness
 
 #endif  // CRN_HARNESS_PROFILER_H_

@@ -51,9 +51,14 @@ SweepResult RunSweep(const SweepSpec& spec) {
   sweep.jobs = ResolveJobs(spec.jobs);
   if (!spec.points.empty()) sweep.seed = spec.points.front().config.seed;
 
-  // Reject an undeployable point here, by name, rather than in a worker.
+  // Reject an undeployable point or one without a carrier-sensing range
+  // here, by name, rather than in a worker.
   for (const SweepPoint& point : spec.points) {
-    const std::string error = core::ScenarioGeometryError(point.config);
+    std::string error = core::ScenarioGeometryError(point.config);
+    if (error.empty()) {
+      error = core::PcrParamsError(point.config.MakePcrParams(),
+                                   point.config.c2_variant);
+    }
     CRN_CHECK(error.empty()) << "sweep \"" << spec.title << "\" point "
                              << point.label << ": " << error;
   }

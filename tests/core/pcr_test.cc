@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 
@@ -54,6 +55,32 @@ TEST(C2Test, PaperConstantInvalidForLargeAlpha) {
 TEST(C2Test, RejectsAlphaAtOrBelowTwo) {
   EXPECT_THROW(C2(2.0, C2Variant::kCorrected), ContractViolation);
   EXPECT_THROW(C2(1.0, C2Variant::kPaper), ContractViolation);
+}
+
+// Input validation mirrors the contracts above, as a message instead of a
+// throw, so a CLI can name the bad value and exit cleanly.
+TEST(PcrParamsErrorTest, NamesEachOutOfDomainParameter) {
+  EXPECT_EQ(PcrParamsError(Fig4Defaults(), C2Variant::kPaper), "");
+  EXPECT_EQ(PcrParamsError(Fig4Defaults(6.0), C2Variant::kCorrected), "");
+  const auto error = [](PcrParams params, C2Variant variant) {
+    return PcrParamsError(params, variant);
+  };
+  EXPECT_NE(error(Fig4Defaults(2.0), C2Variant::kCorrected).find("alpha=2"),
+            std::string::npos);
+  PcrParams params = Fig4Defaults();
+  params.su_power = -1.0;
+  EXPECT_NE(error(params, C2Variant::kCorrected).find("P_s=-1"), std::string::npos);
+  params = Fig4Defaults();
+  params.pu_power = 0.0;
+  EXPECT_NE(error(params, C2Variant::kCorrected).find("P_p=0"), std::string::npos);
+  params = Fig4Defaults();
+  params.pu_radius = 0.0;
+  EXPECT_NE(error(params, C2Variant::kCorrected).find("R=0"), std::string::npos);
+  // Exactly where C2() throws, the message points at the corrected constant.
+  EXPECT_NE(error(Fig4Defaults(5.0), C2Variant::kPaper).find("--c2=corrected"),
+            std::string::npos);
+  EXPECT_THROW(C2(5.0, C2Variant::kPaper), ContractViolation);
+  EXPECT_EQ(error(Fig4Defaults(5.0), C2Variant::kCorrected), "");
 }
 
 TEST(KappaTest, HandComputedFig6Defaults) {

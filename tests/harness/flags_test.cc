@@ -61,6 +61,21 @@ TEST(FlagParserTest, MalformedValuesReportErrors) {
   EXPECT_EQ(flags.errors()[3], "--nan=nan is not a finite number");
 }
 
+TEST(FlagParserTest, BoundedIntegerReportsTheBoundItBreaks) {
+  FlagParser flags = Parse({"--n=3000000000", "--depth=-1", "--reps=4"});
+  EXPECT_EQ(flags.GetIntInRange("n", 5, 0, 2147483647), 5);
+  EXPECT_EQ(flags.GetIntInRange("depth", 64, 1, 1 << 20), 64);
+  EXPECT_EQ(flags.GetIntInRange("reps", 1, 1, 100), 4);
+  EXPECT_EQ(flags.GetIntInRange("absent", 9, 1, 100), 9);
+  // An out-of-range fallback (e.g. from the environment) is held to the
+  // same bounds.
+  EXPECT_EQ(flags.GetIntInRange("grain", -5, 0, 100), -5);
+  ASSERT_EQ(flags.errors().size(), 3u);
+  EXPECT_EQ(flags.errors()[0], "--n=3000000000 must be at most 2147483647");
+  EXPECT_EQ(flags.errors()[1], "--depth=-1 must be at least 1");
+  EXPECT_EQ(flags.errors()[2], "--grain=-5 must be at least 0");
+}
+
 TEST(FlagParserTest, UnconsumedFlagsDetected) {
   FlagParser flags = Parse({"--known=1", "--typo=2"});
   flags.GetInt("known", 0);

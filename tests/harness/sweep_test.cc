@@ -85,6 +85,23 @@ TEST(SweepTest, RunSweepRejectsAnUndeployablePointByName) {
   }
 }
 
+TEST(SweepTest, RunSweepRejectsAPointWithoutASensingRangeByName) {
+  SweepSpec spec;
+  spec.title = "bad sweep";
+  core::ScenarioConfig config = TinyConfig();
+  config.alpha = 5.0;
+  config.c2_variant = core::C2Variant::kPaper;
+  spec.points.push_back({"steep", config});
+  try {
+    RunSweep(spec);
+    FAIL() << "RunSweep accepted the paper's c2 at alpha=5";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("point steep: the paper's printed c2"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(SweepTest, RenderDelayTablePrintsOneRowPerPoint) {
   // The render phase consumes a plain value — no simulation needed.
   SweepResult result;

@@ -1,12 +1,15 @@
 // Tests for continuous (multi-snapshot) data collection.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/collection.h"
 #include "core/scenario.h"
 #include "mac/collection_mac.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace crn::mac {
@@ -100,6 +103,16 @@ TEST(ContinuousCollectionTest, BacklogCarriesAcrossSnapshots) {
   EXPECT_EQ(rig.mac.stats().delivered, 20);
 }
 
+// Continuous collection runs through the one run path: RunAddc with the
+// rounds set in RunOptions.
+core::CollectionResult RunContinuous(const core::Scenario& scenario,
+                                     sim::TimeNs interval, std::int32_t rounds) {
+  core::RunOptions options;
+  options.snapshot_interval = interval;
+  options.snapshot_count = rounds;
+  return core::RunAddc(scenario, options);
+}
+
 TEST(RunAddcContinuousTest, SustainableAtGenerousInterval) {
   core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
   config.seed = 21;
@@ -107,14 +120,54 @@ TEST(RunAddcContinuousTest, SustainableAtGenerousInterval) {
   const core::Scenario scenario(config, 0);
   const core::CollectionResult single = core::RunAddc(scenario);
   ASSERT_TRUE(single.completed);
+  ASSERT_EQ(single.snapshot_delay_ms.size(), 1u);
+  EXPECT_EQ(single.snapshot_delay_ms[0], single.delay_ms);
   const auto interval =
       static_cast<sim::TimeNs>(sim::FromMilliseconds(single.delay_ms * 3.0));
-  const core::ContinuousResult result =
-      core::RunAddcContinuous(scenario, interval, 4);
-  EXPECT_TRUE(result.aggregate.completed);
+  const core::CollectionResult run = RunContinuous(scenario, interval, 4);
+  const core::ContinuousResult result = core::SummarizeContinuous(run, interval);
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(run.algorithm, "ADDC/continuous");
   EXPECT_TRUE(result.sustainable);
-  EXPECT_EQ(result.snapshot_delay_ms.size(), 4u);
+  EXPECT_EQ(run.snapshot_delay_ms.size(), 4u);
   EXPECT_GT(result.mean_snapshot_delay_ms, 0.0);
+  // The same result fields as a snapshot run, from the same code.
+  EXPECT_GT(run.avg_hops, 0.0);
+  EXPECT_GT(run.jain_delivery_fairness, 0.0);
+  EXPECT_EQ(run.dominators, single.dominators);
+  EXPECT_EQ(run.theorem2_delay_bound_ms, single.theorem2_delay_bound_ms);
+}
+
+TEST(RunAddcContinuousTest, AuditAndMetricsAttach) {
+  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
+  config.seed = 21;
+  config.pu_activity = 0.05;
+  config.c2_variant = core::C2Variant::kCorrected;
+  const core::Scenario scenario(config, 0);
+  core::RunOptions options;
+  options.snapshot_interval = 200 * sim::kMillisecond;
+  options.snapshot_count = 3;
+  core::AuditReport report;
+  obs::MetricsRegistry metrics;
+  options.audit_report = &report;
+  options.metrics = &metrics;
+  const core::CollectionResult run = core::RunAddc(scenario, options);
+  ASSERT_TRUE(run.completed);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_NE(report.trace_digest, 0u);
+  EXPECT_NE(metrics.Digest(), obs::MetricsRegistry().Digest());
+}
+
+TEST(RunAddcContinuousTest, ContinuousRunIsNotCheckpointable) {
+  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
+  config.seed = 21;
+  const core::Scenario scenario(config, 0);
+  core::RunOptions options;
+  options.snapshot_interval = 200 * sim::kMillisecond;
+  options.snapshot_count = 2;
+  options.checkpoint_every_events = 1000;
+  options.checkpoint_sink = [](const std::string&, std::uint64_t) {};
+  EXPECT_THROW(core::RunAddc(scenario, options), ContractViolation);
 }
 
 TEST(RunAddcContinuousTest, OverloadShowsPositiveDrift) {
@@ -127,9 +180,9 @@ TEST(RunAddcContinuousTest, OverloadShowsPositiveDrift) {
   // Offer 5x the single-snapshot rate: the backlog must grow.
   const auto interval =
       static_cast<sim::TimeNs>(sim::FromMilliseconds(single.delay_ms / 5.0));
-  const core::ContinuousResult result =
-      core::RunAddcContinuous(scenario, interval, 6);
-  ASSERT_TRUE(result.aggregate.completed);
+  const core::CollectionResult run = RunContinuous(scenario, interval, 6);
+  const core::ContinuousResult result = core::SummarizeContinuous(run, interval);
+  ASSERT_TRUE(run.completed);
   EXPECT_GT(result.delay_drift_ms_per_round, 0.0);
   EXPECT_FALSE(result.sustainable);
 }

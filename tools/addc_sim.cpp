@@ -14,17 +14,20 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
 #include "core/collection.h"
+#include "core/pcr.h"
 #include "core/scenario.h"
 #include "faults/fault_plan.h"
-#include "graph/cds_tree.h"
 #include "harness/atomic_file.h"
 #include "harness/flags.h"
 #include "harness/obs_export.h"
@@ -41,6 +44,9 @@
 namespace {
 
 using namespace crn;
+
+// Flight-recorder ring cap: 2^24 records of 32 bytes is 512 MiB.
+constexpr std::int64_t kMaxFlightRecorderDepth = std::int64_t{1} << 24;
 
 constexpr const char* kHelp = R"(addc_sim — ADDC / Coolest CRN data-collection simulator
 
@@ -63,13 +69,15 @@ Execution:
   --metric=accumulated|highest|mixed   Coolest metric (default accumulated)
   --jobs=INT              run repetitions in parallel (default 1 = serial;
                           0 = hardware concurrency). Output is bit-identical
-                          to serial; trace and continuous runs stay serial.
+                          to serial with every other flag.
   --grain=INT             repetitions per work-stealing chunk (default 0 =
                           auto, reps / (4 * jobs) floored at 1). Any value
                           produces identical output — grain only trades
                           scheduling overhead against steal balance. Env
                           fallback: CRN_GRAIN.
-  --continuous-interval-ms=F      run continuous collection (ADDC only)
+  --continuous-interval-ms=F      run continuous collection: a new snapshot
+                                  every F ms (ADDC only; --algorithm=both
+                                  runs its ADDC half, coolest exits 2)
   --snapshots=INT                 rounds for continuous mode (default 6)
   --faults=FILE           inject the fault plan in FILE into every ADDC run
                           (crashes + self-healing repair, sensing bursts, PU
@@ -80,35 +88,37 @@ Execution:
   --audit                         attach the runtime invariant auditor to every
                                   ADDC run (prints the report; also dual-runs
                                   rep 0 to verify trace-digest determinism);
-                                  exits nonzero on any violation
+                                  exits 1 on any violation
   --trace=FILE                    write every transmission attempt of rep 0's
                                   ADDC run as CSV; the run honours every
                                   scenario flag and composes with --audit,
                                   --faults, --metrics-out, --trace-out and
-                                  --flight-recorder-out; forces serial
+                                  --flight-recorder-out
   --trace-out=FILE                write packet-lifecycle spans (rep 0, ADDC) as
                                   Chrome trace-event JSON — load the file in
-                                  Perfetto / chrome://tracing; forces serial
+                                  Perfetto / chrome://tracing
   --metrics-out=FILE              write the metrics registry (ADDC runs, merged
                                   over reps in rep order) as JSON
   --flight-recorder-out=FILE      record every scheduler action of rep 0's ADDC
                                   run (arm/reschedule/disarm/fire with causal
                                   parent links) into a binary flight dump —
-                                  decode with crn_trace; forces serial
+                                  decode with crn_trace
   --flight-recorder-depth=INT     flight-recorder ring capacity in records
-                                  (default 65536; older records are overwritten)
+                                  (default 65536, 1 to 16777216; older records
+                                  are overwritten)
   --metrics-stride=INT            slots between series snapshots in the metrics
                                   JSON (default 1024; 0 = final state only)
   --svg=FILE                      render the deployment + CDS tree as SVG
   --csv                           machine-readable result rows
 
-Checkpoint / restore (DESIGN.md §14; single serial ADDC rep only):
+Checkpoint / restore (DESIGN.md §14; one ADDC snapshot rep only):
   --checkpoint-out=FILE   serialize the full run state to FILE at every
                           checkpoint boundary (atomic write-temp-then-rename,
-                          CRNCKPT1 format); requires --algorithm=addc,
-                          --reps=1, --jobs=1, and no --trace/--trace-out/
-                          --continuous-interval-ms/--svg
-  --checkpoint-every-events=INT   events between checkpoints (default 100000)
+                          CRNCKPT1 format); requires --algorithm=addc and
+                          --reps=1, and no --trace/--trace-out/
+                          --continuous-interval-ms/--journal
+  --checkpoint-every-events=INT   events between checkpoints (default 100000,
+                          at least 1)
   --restore=FILE          resume from a checkpoint written by
                           --checkpoint-out. Pass the same scenario flags and
                           attachment set as the checkpointed run — mismatches
@@ -119,16 +129,21 @@ Checkpoint / restore (DESIGN.md §14; single serial ADDC rep only):
   --crash-after-events=INT  test hook for the crash-recovery soak: SIGKILL
                           this process at the first checkpoint boundary at or
                           after INT events, *before* that checkpoint is
-                          written (the on-disk file stays the previous one)
+                          written (the on-disk file stays the previous one;
+                          0 = never, the default)
 
 Sweep journal (crash-safe repetition fan-out):
   --journal=DIR           record one atomic completion record per repetition
                           into DIR (any --jobs value; incompatible with
                           --metrics-out/--trace/--trace-out/
-                          --flight-recorder-out/--continuous-interval-ms)
+                          --flight-recorder-out)
   --resume                with --journal: skip repetitions whose records
                           validate, replaying their stored output instead of
                           re-running them
+
+Exit status: 0 every run completed; 1 --audit found a violation or a
+digest divergence; 2 invalid input; 3 a run hit the simulation horizon
+(TIMED OUT row) with a clean audit — a censored result, not a failure.
 )";
 
 void PrintResultRow(const core::CollectionResult& r, bool csv,
@@ -182,15 +197,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
   const double scale = flags.GetDouble("scale", 0.25);
   if (!(scale > 0.0 && scale <= 1.0)) {
     std::cerr << "error: --scale=" << scale << " must be in (0, 1]\n";
     return 2;
   }
   core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(scale);
-  config.num_sus = static_cast<std::int32_t>(flags.GetInt("n", config.num_sus));
+  // Only the int32 range here: the geometry check below names n <= 0 and
+  // N < 0 in the model's terms.
+  config.num_sus = static_cast<std::int32_t>(
+      flags.GetIntInRange("n", config.num_sus, kInt32Min, kInt32Max));
   config.area_side = flags.GetDouble("area", config.area_side);
-  config.num_pus = static_cast<std::int32_t>(flags.GetInt("num-pus", config.num_pus));
+  config.num_pus = static_cast<std::int32_t>(
+      flags.GetIntInRange("num-pus", config.num_pus, kInt32Min, kInt32Max));
   config.pu_activity = flags.GetDouble("pt", config.pu_activity);
   config.alpha = flags.GetDouble("alpha", config.alpha);
   config.pu_power = flags.GetDouble("pu-power", config.pu_power);
@@ -216,29 +238,33 @@ int main(int argc, char** argv) {
   if (metric_name == "highest") metric = routing::TemperatureMetric::kHighest;
   if (metric_name == "mixed") metric = routing::TemperatureMetric::kMixed;
 
-  const auto reps = static_cast<std::int32_t>(flags.GetInt("reps", 1));
-  const auto jobs = static_cast<std::int32_t>(flags.GetInt("jobs", 1));
-  const std::int64_t grain =
-      flags.GetInt("grain", crn::GetEnvInt("CRN_GRAIN", 0));
+  const auto reps =
+      static_cast<std::int32_t>(flags.GetIntInRange("reps", 1, 1, kInt32Max));
+  const auto jobs =
+      static_cast<std::int32_t>(flags.GetIntInRange("jobs", 1, 0, kInt32Max));
+  const std::int64_t grain = flags.GetIntInRange(
+      "grain", crn::GetEnvInt("CRN_GRAIN", 0), 0, kInt64Max);
   const bool csv = flags.GetBool("csv", false);
   const bool audit = flags.GetBool("audit", false);
   const std::string trace_path = flags.GetString("trace", "");
   const std::string trace_out = flags.GetString("trace-out", "");
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string flight_out = flags.GetString("flight-recorder-out", "");
-  const auto flight_depth = static_cast<std::size_t>(
-      flags.GetInt("flight-recorder-depth", 1 << 16));
-  const auto metrics_stride =
-      static_cast<std::int32_t>(flags.GetInt("metrics-stride", 1024));
+  const auto flight_depth = static_cast<std::size_t>(flags.GetIntInRange(
+      "flight-recorder-depth", 1 << 16, 1, kMaxFlightRecorderDepth));
+  const auto metrics_stride = static_cast<std::int32_t>(
+      flags.GetIntInRange("metrics-stride", 1024, 0, kInt32Max));
   const std::string svg_path = flags.GetString("svg", "");
   const double continuous_ms = flags.GetDouble("continuous-interval-ms", 0.0);
-  const auto snapshots = static_cast<std::int32_t>(flags.GetInt("snapshots", 6));
+  const auto snapshots = static_cast<std::int32_t>(
+      flags.GetIntInRange("snapshots", 6, 1, kInt32Max));
   const std::string faults_path = flags.GetString("faults", "");
   const std::string checkpoint_out = flags.GetString("checkpoint-out", "");
   const std::string restore_path = flags.GetString("restore", "");
   const std::int64_t checkpoint_every =
-      flags.GetInt("checkpoint-every-events", 100000);
-  const std::int64_t crash_after = flags.GetInt("crash-after-events", 0);
+      flags.GetIntInRange("checkpoint-every-events", 100000, 1, kInt64Max);
+  const std::int64_t crash_after =
+      flags.GetIntInRange("crash-after-events", 0, 0, kInt64Max);
   const std::string journal_dir = flags.GetString("journal", "");
   const bool resume = flags.GetBool("resume", false);
 
@@ -257,65 +283,86 @@ int main(int argc, char** argv) {
       !IsOneOf("metric", metric_name, {"accumulated", "highest", "mixed"})) {
     return 2;
   }
-  if (reps < 1) {
-    std::cerr << "error: --reps=" << reps << " must be at least 1\n";
-    return 2;
-  }
-  if (jobs < 0) {
-    std::cerr << "error: --jobs=" << jobs
-              << " must be at least 0 (0 = hardware concurrency)\n";
-    return 2;
-  }
-  if (grain < 0) {
-    std::cerr << "error: --grain=" << grain << " must be at least 0 (0 = auto)\n";
-    return 2;
-  }
-  if (metrics_stride < 0) {
-    std::cerr << "error: --metrics-stride=" << metrics_stride
-              << " must be at least 0 (0 = final state only)\n";
-    return 2;
-  }
   if (flags.Has("continuous-interval-ms") && !(continuous_ms > 0.0)) {
     std::cerr << "error: --continuous-interval-ms=" << continuous_ms
               << " must be positive (omit it for a snapshot run)\n";
     return 2;
   }
-  if (const std::string geometry_error = core::ScenarioGeometryError(config);
-      !geometry_error.empty()) {
-    std::cerr << "error: invalid secondary-network settings (--n, --area, "
-                 "--su-radius, --scale): "
-              << geometry_error << "\n";
-    return 2;
-  }
-  if (snapshots < 1) {
-    std::cerr << "error: --snapshots=" << snapshots
-              << " must be at least 1 (continuous-collection rounds)\n";
-    return 2;
-  }
-  // Reject out-of-domain PU settings here, with the flag names, instead of
-  // failing the PrimaryNetwork contract check mid-run.
   if (!(burst >= 0.0)) {
     std::cerr << "error: --pu-burst=" << burst
               << " must be 0 (i.i.d. activity) or a mean burst of at least 1 slot\n";
     return 2;
   }
-  if (const std::string pu_error = pu::PrimaryConfigError(config.MakePrimaryConfig());
-      !pu_error.empty()) {
-    std::cerr << "error: invalid primary-network settings (--pt, --pu-burst, "
-                 "--num-pus, --pu-power, --pu-radius): "
-              << pu_error << "\n";
+  // The model's own checks, each named with the flags that feed it, reject
+  // bad input here instead of failing a contract check mid-run.
+  for (const auto& [settings, error] : {
+           std::pair{"secondary-network settings (--n, --area, --su-radius, "
+                     "--scale)",
+                     core::ScenarioGeometryError(config)},
+           std::pair{"primary-network settings (--pt, --pu-burst, --num-pus, "
+                     "--pu-power, --pu-radius)",
+                     pu::PrimaryConfigError(config.MakePrimaryConfig())},
+           std::pair{"carrier-sensing settings (--alpha, --c2, --pu-power, "
+                     "--su-power, --pu-radius, --su-radius)",
+                     core::PcrParamsError(config.MakePcrParams(),
+                                          config.c2_variant)}}) {
+    if (!error.empty()) {
+      std::cerr << "error: invalid " << settings << ": " << error << "\n";
+      return 2;
+    }
+  }
+  const bool continuous = continuous_ms > 0.0;
+  const bool run_addc = algorithm != "coolest";
+  // Continuous collection is an ADDC workload; --algorithm=both runs only
+  // its ADDC half there.
+  const bool run_coolest = algorithm != "addc" && !continuous;
+  const bool tracing = !trace_path.empty() || !trace_out.empty();
+  if (!run_addc && (continuous || !trace_path.empty())) {
+    std::cerr << "error: --continuous-interval-ms and --trace run ADDC; use "
+                 "--algorithm=addc or --algorithm=both\n";
     return 2;
   }
-  // Trace sinks attach to snapshot ADDC runs only; reject combinations that
-  // would leave the file missing or empty.
-  if ((!trace_path.empty() || !trace_out.empty()) && continuous_ms > 0.0) {
-    std::cerr << "error: --trace/--trace-out record snapshot runs and are "
-                 "incompatible with --continuous-interval-ms\n";
-    return 2;
+  // Checkpoint/restore runs print `digest:` lines, the bit-identity witness
+  // between an uninterrupted run and a resumed one; the auditor (trace
+  // digest) and a registry (metrics digest) always attach to them.
+  const bool digest_line = !checkpoint_out.empty() || !restore_path.empty();
+  std::string restore_blob;
+  if (digest_line) {
+    if (algorithm != "addc" || reps != 1 || continuous || tracing ||
+        !journal_dir.empty()) {
+      std::cerr << "error: --checkpoint-out/--restore support exactly one "
+                   "ADDC snapshot repetition (--algorithm=addc --reps=1) "
+                   "without --trace/--trace-out/--continuous-interval-ms/"
+                   "--journal\n";
+      return 2;
+    }
+    if (!restore_path.empty()) {
+      std::ifstream in(restore_path, std::ios::binary);
+      if (!in) {
+        std::cerr << "error: cannot read checkpoint " << restore_path << "\n";
+        return 2;
+      }
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      restore_blob = buffer.str();
+      // A corrupt file or another format version is an input error: report
+      // it and exit 2 rather than failing inside the restore.
+      const sim::StateReader envelope(restore_blob);
+      if (!envelope.ok()) {
+        std::cerr << "error: " << restore_path << ": " << envelope.error()
+                  << "\n";
+        return 2;
+      }
+    }
   }
-  if (!trace_path.empty() && algorithm == "coolest") {
-    std::cerr << "error: --trace records the ADDC run; use --algorithm=addc "
-                 "or --algorithm=both\n";
+  if (!journal_dir.empty()) {
+    if (!metrics_out.empty() || tracing || !flight_out.empty()) {
+      std::cerr << "error: --journal is incompatible with --metrics-out/"
+                   "--trace/--trace-out/--flight-recorder-out\n";
+      return 2;
+    }
+  } else if (resume) {
+    std::cerr << "error: --resume requires --journal\n";
     return 2;
   }
 
@@ -339,464 +386,251 @@ int main(int argc, char** argv) {
                  "attempts,pu_violations\n";
   }
 
-  bool all_completed = true;
-  bool audit_clean = true;
-
-  // --- checkpoint / restore: a dedicated single-rep serial ADDC path ----
-  if (!checkpoint_out.empty() || !restore_path.empty()) {
-    const bool unsupported =
-        algorithm != "addc" || reps != 1 || jobs != 1 || continuous_ms > 0.0 ||
-        !trace_path.empty() || !trace_out.empty() || !svg_path.empty() ||
-        !journal_dir.empty();
-    if (unsupported) {
-      std::cerr << "error: --checkpoint-out/--restore support exactly one "
-                   "serial ADDC repetition (--algorithm=addc --reps=1 "
-                   "--jobs=1) without --trace/--trace-out/--svg/"
-                   "--continuous-interval-ms/--journal\n";
-      return 2;
-    }
-    if (!checkpoint_out.empty() && checkpoint_every <= 0) {
-      std::cerr << "error: --checkpoint-every-events must be positive\n";
-      return 2;
-    }
-
-    const core::Scenario scenario(config, 0, prefabs[0]);
-    core::RunOptions options;
-    // The digest line below is the machine-checked restore contract, so the
-    // auditor (trace digest) and a registry (metrics digest) always attach —
-    // both are pure observers and part of the checkpoint's fingerprint.
-    core::AuditReport audit_report;
-    options.audit_report = &audit_report;
-    obs::MetricsRegistry metrics;
-    options.metrics = &metrics;
-    options.metrics_series_stride = metrics_stride;
-    faults::FaultReport fault_report;
-    if (!faults_path.empty()) {
-      options.faults = &fault_plan;
-      options.fault_report = &fault_report;
-    }
-    sim::FlightRecorder flight_recorder(flight_depth);
-    if (!flight_out.empty()) options.flight_recorder = &flight_recorder;
-
-    std::string restore_blob;
-    if (!restore_path.empty()) {
-      std::ifstream in(restore_path, std::ios::binary);
-      if (!in) {
-        std::cerr << "error: cannot read checkpoint " << restore_path << "\n";
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      restore_blob = buffer.str();
-      // A corrupt file or another format version is an input error: report
-      // it and exit 2 rather than failing inside the restore.
-      const sim::StateReader envelope(restore_blob);
-      if (!envelope.ok()) {
-        std::cerr << "error: " << restore_path << ": " << envelope.error()
-                  << "\n";
-        return 2;
-      }
-      options.restore_blob = &restore_blob;
-    }
-    if (!checkpoint_out.empty()) {
-      options.checkpoint_every_events = checkpoint_every;
-      options.checkpoint_sink = [&](const std::string& blob,
-                                    std::uint64_t events) {
-        if (crash_after > 0 &&
-            events >= static_cast<std::uint64_t>(crash_after)) {
-          // Crash-soak hook: die *before* persisting, so recovery resumes
-          // from the previous on-disk checkpoint — the worst honest crash.
-          std::raise(SIGKILL);
-        }
-        std::string error;
-        if (!harness::WriteFileAtomic(checkpoint_out, blob, &error)) {
-          std::cerr << "error: " << error << "\n";
-          std::exit(2);
-        }
-        if (!csv) {
-          std::cout << "checkpoint: " << checkpoint_out << " at event "
-                    << events << " (" << blob.size() << " bytes)\n";
-        }
-      };
-    }
-
-    const core::CollectionResult result = core::RunAddc(scenario, options);
-    all_completed = result.completed;
-    PrintResultRow(result, csv);
-    if (!csv && fault_report.injected_total() > 0) {
-      std::cout << "  faults: " << fault_report.Summary() << "; delivery "
-                << harness::FormatDouble(result.delivery_ratio, 4) << "\n";
-    }
-    audit_clean = audit_report.ok();
-    if (audit && !csv) {
-      std::cout << "  audit: " << audit_report.Summary() << "\n";
-      for (const std::string& violation : audit_report.first_violations) {
-        std::cout << "    violation: " << violation << "\n";
-      }
-    }
-    // The bit-identity witness: CI diffs this line between an uninterrupted
-    // run and a kill+resume chain.
-    std::cout << "digest: trace=" << std::hex << audit_report.trace_digest
-              << " metrics=" << metrics.Digest() << std::dec << "\n";
-    if (!metrics_out.empty() &&
-        !harness::WriteMetricsJson(metrics,
-                                   sim::FromMilliseconds(result.delay_ms),
-                                   metrics_out, std::cout)) {
-      return 2;
-    }
-    if (!flight_out.empty()) {
-      std::ostringstream dump;
-      flight_recorder.WriteDump(dump);
-      if (!WriteArtifactOrComplain(flight_out, dump.str())) return 2;
-      std::cout << "flight recorder: " << flight_recorder.size() << " of "
-                << flight_recorder.total_recorded()
-                << " recorded actions retained -> " << flight_out << "\n";
-    }
-    if (audit && !audit_clean) {
-      std::cerr << "audit: invariant violations detected\n";
-      return 1;
-    }
-    return all_completed ? 0 : 1;
-  }
-
-  if (!journal_dir.empty()) {
-    if (!metrics_out.empty() || continuous_ms > 0.0 || !trace_path.empty() ||
-        !trace_out.empty() || !flight_out.empty()) {
-      std::cerr << "error: --journal is incompatible with --metrics-out/"
-                   "--trace/--trace-out/--flight-recorder-out/"
-                   "--continuous-interval-ms\n";
-      return 2;
-    }
-  } else if (resume) {
-    std::cerr << "error: --resume requires --journal\n";
-    return 2;
-  }
-
-  // Parallel standard path: every repetition is an independent cell (the
-  // Scenario is a pure function of (config, rep)), so the cells run on a
-  // ParallelRunner and the rows print afterwards in repetition order —
-  // bit-identical to the serial loop below. Trace and continuous runs keep
-  // the serial path. A --journal run uses this engine at any jobs value so
-  // its completion records are per-cell regardless of parallelism.
-  if ((jobs != 1 || !journal_dir.empty()) && continuous_ms <= 0.0 &&
-      trace_path.empty() && trace_out.empty() && flight_out.empty()) {
-    struct RepOutcome {
-      double pcr = 0.0;
-      bool has_addc = false;
-      bool has_coolest = false;
-      core::CollectionResult addc;
-      core::CollectionResult coolest;
-      core::AuditReport audit_report;
-      core::DeterminismReport determinism;
-      faults::FaultReport fault_report;
-      // Per-repetition registry (--metrics-out): merged in rep order after
-      // the fan-out, so the merged state is bit-identical to a serial run.
-      obs::MetricsRegistry metrics;
-    };
-    std::vector<RepOutcome> outcomes(static_cast<std::size_t>(reps));
-    const harness::ParallelRunner runner(jobs, grain);
-    const auto run_rep = [&](std::int64_t rep) {
-      RepOutcome& outcome = outcomes[static_cast<std::size_t>(rep)];
-      const core::Scenario scenario(config, static_cast<std::uint64_t>(rep),
-                                   prefabs[static_cast<std::size_t>(rep)]);
-      outcome.pcr = scenario.pcr();
-      if (algorithm == "addc" || algorithm == "both") {
-        outcome.has_addc = true;
-        core::RunOptions options;
-        if (audit) options.audit_report = &outcome.audit_report;
-        if (!faults_path.empty()) {
-          options.faults = &fault_plan;
-          options.fault_report = &outcome.fault_report;
-        }
-        if (!metrics_out.empty()) {
-          options.metrics = &outcome.metrics;
-          // Counters/histograms fold across every rep, but the time series
-          // is one run's timeline: only rep 0 records points, so the merged
-          // document's series stays monotone in sim-time.
-          options.metrics_series_stride = rep == 0 ? metrics_stride : 0;
-        }
-        outcome.addc = core::RunAddc(scenario, options);
-        if (audit && rep == 0) {
-          // The dual run must not fold a second copy of rep 0 into the
-          // registry, so the determinism check runs without sinks.
-          core::RunOptions recheck = options;
-          recheck.metrics = nullptr;
-          recheck.spans = nullptr;
-          outcome.determinism = core::CheckAddcDeterminism(scenario, recheck);
-        }
-      }
-      if (algorithm == "coolest" || algorithm == "both") {
-        outcome.has_coolest = true;
-        outcome.coolest = core::RunCoolest(scenario, metric);
-      }
-    };
-
-    // One repetition's output block plus the bits that feed the exit code.
-    // The same renderer serves direct printing and the journal payload, so
-    // a replayed repetition prints byte-identically to a fresh one.
-    struct RepBlock {
-      std::string text;
-      bool completed = true;
-      bool audit_ok = true;
-    };
-    const auto render_block = [&](std::int32_t rep) {
-      const RepOutcome& outcome = outcomes[static_cast<std::size_t>(rep)];
-      RepBlock block;
-      std::ostringstream out;
-      if (!csv) {
-        out << "== rep " << rep << " (n=" << config.num_sus
-            << ", N=" << config.num_pus << ", p_t=" << config.pu_activity
-            << ", PCR=" << harness::FormatDouble(outcome.pcr, 2) << " m) ==\n";
-      }
-      if (outcome.has_addc) {
-        block.completed &= outcome.addc.completed;
-        PrintResultRow(outcome.addc, csv, out);
-        // Plans whose compiled timeline is empty leave stdout untouched —
-        // part of the empty-plan byte-identity contract.
-        if (!csv && outcome.fault_report.injected_total() > 0) {
-          out << "  faults: " << outcome.fault_report.Summary()
-              << "; delivery "
-              << harness::FormatDouble(outcome.addc.delivery_ratio, 4) << "\n";
-        }
-        if (audit) {
-          block.audit_ok &= outcome.audit_report.ok();
-          if (!csv) {
-            out << "  audit: " << outcome.audit_report.Summary() << "\n";
-            for (const std::string& violation :
-                 outcome.audit_report.first_violations) {
-              out << "    violation: " << violation << "\n";
-            }
-          }
-          if (rep == 0) {
-            block.audit_ok &= outcome.determinism.identical;
-            if (!csv) {
-              out << "  determinism: dual-run digests "
-                  << (outcome.determinism.identical ? "identical" : "DIVERGED")
-                  << " (" << std::hex << outcome.determinism.first_digest
-                  << " vs " << outcome.determinism.second_digest << std::dec
-                  << ")\n";
-            }
-          }
-        }
-      }
-      if (outcome.has_coolest) {
-        block.completed &= outcome.coolest.completed;
-        PrintResultRow(outcome.coolest, csv, out);
-      }
-      block.text = out.str();
-      return block;
-    };
-
-    std::vector<RepBlock> blocks(static_cast<std::size_t>(reps));
-    if (journal_dir.empty()) {
-      runner.ForEachIndex(reps, run_rep);
-      for (std::int32_t rep = 0; rep < reps; ++rep) {
-        blocks[static_cast<std::size_t>(rep)] = render_block(rep);
-      }
-    } else {
-      // The fingerprint pins every knob that shapes a cell's output: a
-      // journal from a different experiment reads as empty, never as
-      // replayable results.
-      std::ostringstream fp;
-      fp << "addc_sim v1 seed=" << config.seed << " n=" << config.num_sus
-         << " N=" << config.num_pus << " area=" << config.area_side
-         << " pt=" << config.pu_activity
-         << " burst=" << config.pu_mean_burst_slots
-         << " alpha=" << config.alpha << " c2=" << c2
-         << " fairness=" << config.fairness_wait
-         << " algorithm=" << algorithm << " metric=" << metric_name
-         << " reps=" << reps << " csv=" << csv << " audit=" << audit
-         << " faults=" << faults_path;
-      if (!resume) {
-        // A fresh (non-resume) journaled run starts from a clean slate so
-        // stale completions cannot mask cells that should re-run.
-        for (std::int32_t rep = 0; rep < reps; ++rep) {
-          std::remove((journal_dir + "/cell_" + std::to_string(rep) + ".rec")
-                          .c_str());
-        }
-      }
-      const harness::SweepJournal journal(journal_dir, fp.str());
-      const std::int64_t replayed = harness::RunJournaled(
-          runner, journal, reps,
-          [&](std::int64_t rep) {
-            run_rep(rep);
-            RepBlock block = render_block(static_cast<std::int32_t>(rep));
-            std::string payload =
-                std::string(block.completed ? "1" : "0") +
-                (block.audit_ok ? "1" : "0") + "\n" + block.text;
-            blocks[static_cast<std::size_t>(rep)] = std::move(block);
-            return payload;
-          },
-          [&](std::int64_t rep, const std::string& payload) {
-            RepBlock block;
-            if (payload.size() >= 3) {
-              block.completed = payload[0] == '1';
-              block.audit_ok = payload[1] == '1';
-              block.text = payload.substr(3);
-            }
-            blocks[static_cast<std::size_t>(rep)] = std::move(block);
-          });
-      if (!csv && replayed > 0) {
-        std::cout << "journal: replayed " << replayed << " of " << reps
-                  << " repetitions from " << journal_dir << "\n";
-      }
-    }
-
-    if (!svg_path.empty()) {
-      const core::Scenario scenario(config, 0, prefabs[0]);
-      const graph::CdsTree& tree = scenario.collection_tree();
-      std::ostringstream out;
-      harness::SvgOptions svg_options;
-      svg_options.pcr_m = scenario.pcr();
-      harness::WriteSvg(out, scenario.secondary_graph(), &tree,
-                        scenario.pu_positions(), svg_options);
-      if (!WriteArtifactOrComplain(svg_path, out.str())) return 2;
-      std::cout << "topology rendered to " << svg_path << "\n";
-    }
-    for (std::int32_t rep = 0; rep < reps; ++rep) {
-      const RepBlock& block = blocks[static_cast<std::size_t>(rep)];
-      std::cout << block.text;
-      all_completed &= block.completed;
-      audit_clean &= block.audit_ok;
-    }
-    if (!metrics_out.empty()) {
-      obs::MetricsRegistry merged;
-      double final_ms = 0.0;
-      for (const RepOutcome& outcome : outcomes) {
-        merged.Merge(outcome.metrics);
-        if (outcome.has_addc) final_ms = std::max(final_ms, outcome.addc.delay_ms);
-      }
-      if (!harness::WriteMetricsJson(merged, sim::FromMilliseconds(final_ms),
-                                     metrics_out, std::cout)) {
-        return 2;
-      }
-    }
-    if (audit && !audit_clean) {
-      std::cerr << "audit: invariant violations or digest divergence detected\n";
-      return 1;
-    }
-    return all_completed ? 0 : 1;
-  }
-
-  // Serial path. Observability sinks accumulate across the rep loop: the
-  // span tracer watches rep 0's ADDC run, per-rep registries merge in rep
-  // order (identical to the parallel reduction above).
+  // The span tracer and flight recorder watch rep 0's ADDC run only, so no
+  // two cells share a sink at any --jobs. The profiler supplies the
+  // recorder's wall probe for the per-kind fire wall lines.
   obs::PacketSpanTracer span_tracer;
-  obs::MetricsRegistry merged_metrics;
-  double metrics_final_ms = 0.0;
-  // Flight recorder watches rep 0's ADDC run; the profiler supplies its
-  // wall probe so per-kind fire wall time lands in the dump summary.
-  sim::FlightRecorder flight_recorder(flight_depth);
-  harness::RunProfiler flight_profiler;
+  std::optional<sim::FlightRecorder> flight_recorder;
+  harness::RunProfiler flight_clock;
   if (!flight_out.empty()) {
-    harness::AttachFlightRecorderProbe(flight_profiler, flight_recorder);
+    flight_recorder.emplace(flight_depth);
+    harness::AttachFlightRecorderProbe(flight_clock, *flight_recorder);
   }
 
-  for (std::int32_t rep = 0; rep < reps; ++rep) {
-    const core::Scenario scenario(config, rep,
+  // Every repetition is one independent cell (the Scenario is a pure
+  // function of (config, rep)) on a ParallelRunner, which runs jobs=1
+  // inline; the blocks print afterwards in repetition order, so stdout is
+  // bit-identical at any --jobs.
+  struct RepOutcome {
+    double pcr = 0.0;
+    std::optional<core::CollectionResult> addc;
+    std::optional<core::CollectionResult> coolest;
+    core::AuditReport audit_report;
+    core::DeterminismReport determinism;
+    faults::FaultReport fault_report;
+    // Per-repetition registry: merged in rep order after the fan-out.
+    obs::MetricsRegistry metrics;
+  };
+  std::vector<RepOutcome> outcomes(static_cast<std::size_t>(reps));
+  const auto run_rep = [&](std::int64_t rep) {
+    RepOutcome& outcome = outcomes[static_cast<std::size_t>(rep)];
+    const core::Scenario scenario(config, static_cast<std::uint64_t>(rep),
                                   prefabs[static_cast<std::size_t>(rep)]);
-    if (!svg_path.empty() && rep == 0) {
-      const graph::CdsTree& tree = scenario.collection_tree();
-      std::ostringstream out;
-      harness::SvgOptions svg_options;
-      svg_options.pcr_m = scenario.pcr();
-      harness::WriteSvg(out, scenario.secondary_graph(), &tree,
-                        scenario.pu_positions(), svg_options);
-      if (!WriteArtifactOrComplain(svg_path, out.str())) return 2;
-      std::cout << "topology rendered to " << svg_path << "\n";
-    }
-    if (!csv) {
-      std::cout << "== rep " << rep << " (n=" << config.num_sus
-                << ", N=" << config.num_pus << ", p_t=" << config.pu_activity
-                << ", PCR=" << harness::FormatDouble(scenario.pcr(), 2) << " m) ==\n";
-    }
-    if (continuous_ms > 0.0) {
-      const core::ContinuousResult result = core::RunAddcContinuous(
-          scenario, sim::FromMilliseconds(continuous_ms), snapshots);
-      all_completed &= result.aggregate.completed;
-      PrintResultRow(result.aggregate, csv);
-      if (!csv) {
-        std::cout << "  snapshot delays (ms):";
-        for (double d : result.snapshot_delay_ms) {
-          std::cout << " " << harness::FormatDouble(d, 0);
-        }
-        std::cout << "\n  drift " << harness::FormatDouble(result.delay_drift_ms_per_round, 1)
-                  << " ms/round — " << (result.sustainable ? "sustainable" : "NOT sustainable")
-                  << "\n";
-      }
-      continue;
-    }
-    if (algorithm == "addc" || algorithm == "both") {
+    outcome.pcr = scenario.pcr();
+    if (run_addc) {
       core::RunOptions options;
-      core::AuditReport audit_report;
-      faults::FaultReport fault_report;
-      if (audit) options.audit_report = &audit_report;
+      if (continuous) {
+        options.snapshot_interval = sim::FromMilliseconds(continuous_ms);
+        options.snapshot_count = snapshots;
+      }
+      if (audit || digest_line) options.audit_report = &outcome.audit_report;
       if (!faults_path.empty()) {
         options.faults = &fault_plan;
-        options.fault_report = &fault_report;
+        options.fault_report = &outcome.fault_report;
       }
-      obs::MetricsRegistry rep_metrics;
-      if (!metrics_out.empty()) {
-        options.metrics = &rep_metrics;
-        // Series points come from rep 0 only — merged counters span all
-        // reps, but a merged series would interleave rep-local timelines.
+      if (!metrics_out.empty() || digest_line) {
+        options.metrics = &outcome.metrics;
+        // Counters/histograms fold across every rep, but the time series
+        // is one run's timeline: only rep 0 records points, so the merged
+        // document's series stays monotone in sim-time.
         options.metrics_series_stride = rep == 0 ? metrics_stride : 0;
       }
-      if ((!trace_path.empty() || !trace_out.empty()) && rep == 0) {
-        options.spans = &span_tracer;
+      if (rep == 0) {
+        if (tracing) options.spans = &span_tracer;
+        if (flight_recorder.has_value()) options.flight_recorder = &*flight_recorder;
+        if (!restore_path.empty()) options.restore_blob = &restore_blob;
       }
-      if (!flight_out.empty() && rep == 0) {
-        options.flight_recorder = &flight_recorder;
+      if (!checkpoint_out.empty()) {
+        options.checkpoint_every_events = checkpoint_every;
+        options.checkpoint_sink = [&](const std::string& blob,
+                                      std::uint64_t events) {
+          if (crash_after > 0 &&
+              events >= static_cast<std::uint64_t>(crash_after)) {
+            // Crash-soak hook: die *before* persisting, so recovery resumes
+            // from the previous on-disk checkpoint — the worst honest crash.
+            std::raise(SIGKILL);
+          }
+          if (!WriteArtifactOrComplain(checkpoint_out, blob)) std::exit(2);
+          if (!csv) {
+            std::cout << "checkpoint: " << checkpoint_out << " at event "
+                      << events << " (" << blob.size() << " bytes)\n";
+          }
+        };
       }
-      const core::CollectionResult result = core::RunAddc(scenario, options);
-      if (!metrics_out.empty()) {
-        merged_metrics.Merge(rep_metrics);
-        metrics_final_ms = std::max(metrics_final_ms, result.delay_ms);
+      outcome.addc = core::RunAddc(scenario, options);
+      // Checkpoint/restore runs print their digest line instead.
+      if (audit && rep == 0 && !digest_line) {
+        // Sinkless dual run: re-attaching the tracer, registry, or flight
+        // recorder would double-count rep 0 (the check itself is
+        // observation-free).
+        core::RunOptions recheck = options;
+        recheck.metrics = nullptr;
+        recheck.spans = nullptr;
+        recheck.flight_recorder = nullptr;
+        outcome.determinism = core::CheckAddcDeterminism(scenario, recheck);
       }
-      all_completed &= result.completed;
-      PrintResultRow(result, csv);
-      if (!csv && fault_report.injected_total() > 0) {
-        std::cout << "  faults: " << fault_report.Summary() << "; delivery "
-                  << harness::FormatDouble(result.delivery_ratio, 4) << "\n";
+    }
+    if (run_coolest) outcome.coolest = core::RunCoolest(scenario, metric);
+  };
+
+  // One repetition's output block plus the bits that feed the exit code.
+  // The same renderer serves direct printing and the journal payload, so
+  // a replayed repetition prints byte-identically to a fresh one.
+  struct RepBlock {
+    std::string text;
+    bool completed = true;
+    bool audit_ok = true;
+  };
+  const auto render_block = [&](std::int64_t rep) {
+    const RepOutcome& outcome = outcomes[static_cast<std::size_t>(rep)];
+    RepBlock block;
+    std::ostringstream out;
+    if (!csv) {
+      out << "== rep " << rep << " (n=" << config.num_sus
+          << ", N=" << config.num_pus << ", p_t=" << config.pu_activity
+          << ", PCR=" << harness::FormatDouble(outcome.pcr, 2) << " m) ==\n";
+    }
+    if (outcome.addc.has_value()) {
+      const core::CollectionResult& addc = *outcome.addc;
+      block.completed &= addc.completed;
+      PrintResultRow(addc, csv, out);
+      if (continuous && !csv) {
+        const core::ContinuousResult summary = core::SummarizeContinuous(
+            addc, sim::FromMilliseconds(continuous_ms));
+        out << "  snapshot delays (ms):";
+        for (const double d : addc.snapshot_delay_ms) {
+          out << " " << harness::FormatDouble(d, 0);
+        }
+        out << "\n  drift "
+            << harness::FormatDouble(summary.delay_drift_ms_per_round, 1)
+            << " ms/round — "
+            << (summary.sustainable ? "sustainable" : "NOT sustainable") << "\n";
+      }
+      // Plans whose compiled timeline is empty leave stdout untouched —
+      // part of the empty-plan byte-identity contract.
+      if (!csv && outcome.fault_report.injected_total() > 0) {
+        out << "  faults: " << outcome.fault_report.Summary() << "; delivery "
+            << harness::FormatDouble(addc.delivery_ratio, 4) << "\n";
       }
       if (audit) {
-        audit_clean &= audit_report.ok();
+        block.audit_ok &= outcome.audit_report.ok();
         if (!csv) {
-          std::cout << "  audit: " << audit_report.Summary() << "\n";
-          for (const std::string& violation : audit_report.first_violations) {
-            std::cout << "    violation: " << violation << "\n";
+          out << "  audit: " << outcome.audit_report.Summary() << "\n";
+          for (const std::string& violation :
+               outcome.audit_report.first_violations) {
+            out << "    violation: " << violation << "\n";
           }
           // Violation forensics: the causal event history leading into the
           // first violation, captured from the flight recorder.
-          if (!audit_report.flight_trail.empty()) {
-            std::cout << "  " << audit_report.flight_trail;
+          if (!outcome.audit_report.flight_trail.empty()) {
+            out << "  " << outcome.audit_report.flight_trail;
           }
         }
-        if (rep == 0) {
-          // Sinkless dual run: re-attaching the tracer, registry, or flight
-          // recorder would double-count rep 0 (the check itself is
-          // observation-free).
-          core::RunOptions recheck = options;
-          recheck.metrics = nullptr;
-          recheck.spans = nullptr;
-          recheck.flight_recorder = nullptr;
-          const core::DeterminismReport determinism =
-              core::CheckAddcDeterminism(scenario, recheck);
-          audit_clean &= determinism.identical;
+        if (rep == 0 && !digest_line) {
+          block.audit_ok &= outcome.determinism.identical;
           if (!csv) {
-            std::cout << "  determinism: dual-run digests "
-                      << (determinism.identical ? "identical" : "DIVERGED") << " ("
-                      << std::hex << determinism.first_digest << " vs "
-                      << determinism.second_digest << std::dec << ")\n";
+            out << "  determinism: dual-run digests "
+                << (outcome.determinism.identical ? "identical" : "DIVERGED")
+                << " (" << std::hex << outcome.determinism.first_digest
+                << " vs " << outcome.determinism.second_digest << std::dec
+                << ")\n";
           }
         }
       }
+      if (digest_line) {
+        // The bit-identity witness: CI diffs this line between an
+        // uninterrupted run and a kill+resume chain.
+        out << "digest: trace=" << std::hex << outcome.audit_report.trace_digest
+            << " metrics=" << outcome.metrics.Digest() << std::dec << "\n";
+      }
     }
-    if (algorithm == "coolest" || algorithm == "both") {
-      const core::CollectionResult result = core::RunCoolest(scenario, metric);
-      all_completed &= result.completed;
-      PrintResultRow(result, csv);
+    if (outcome.coolest.has_value()) {
+      block.completed &= outcome.coolest->completed;
+      PrintResultRow(*outcome.coolest, csv, out);
     }
+    block.text = out.str();
+    return block;
+  };
+
+  std::vector<RepBlock> blocks(static_cast<std::size_t>(reps));
+  const harness::ParallelRunner runner(jobs, grain);
+  if (journal_dir.empty()) {
+    runner.ForEachIndex(reps, [&](std::int64_t rep) {
+      run_rep(rep);
+      blocks[static_cast<std::size_t>(rep)] = render_block(rep);
+    });
+  } else {
+    // The fingerprint pins every knob that shapes a cell's output: a
+    // journal from a different experiment reads as empty, never as
+    // replayable results.
+    std::ostringstream fp;
+    fp << "addc_sim v1 seed=" << config.seed << " n=" << config.num_sus
+       << " N=" << config.num_pus << " area=" << config.area_side
+       << " pt=" << config.pu_activity
+       << " burst=" << config.pu_mean_burst_slots
+       << " alpha=" << config.alpha << " c2=" << c2
+       << " pu_power=" << config.pu_power << " su_power=" << config.su_power
+       << " pu_radius=" << config.pu_radius
+       << " su_radius=" << config.su_radius << " eta_p=" << config.eta_p_db
+       << " eta_s=" << config.eta_s_db
+       << " fairness=" << config.fairness_wait
+       << " algorithm=" << algorithm << " metric=" << metric_name
+       << " reps=" << reps << " csv=" << csv << " audit=" << audit
+       << " faults=" << faults_path;
+    if (continuous) {
+      fp << " continuous_ms=" << continuous_ms << " snapshots=" << snapshots;
+    }
+    if (!resume) {
+      // A fresh (non-resume) journaled run starts from a clean slate so
+      // stale completions cannot mask cells that should re-run.
+      for (std::int32_t rep = 0; rep < reps; ++rep) {
+        std::remove((journal_dir + "/cell_" + std::to_string(rep) + ".rec")
+                        .c_str());
+      }
+    }
+    const harness::SweepJournal journal(journal_dir, fp.str());
+    const std::int64_t replayed = harness::RunJournaled(
+        runner, journal, reps,
+        [&](std::int64_t rep) {
+          run_rep(rep);
+          RepBlock block = render_block(rep);
+          std::string payload = std::string(block.completed ? "1" : "0") +
+                                (block.audit_ok ? "1" : "0") + "\n" +
+                                block.text;
+          blocks[static_cast<std::size_t>(rep)] = std::move(block);
+          return payload;
+        },
+        [&](std::int64_t rep, const std::string& payload) {
+          RepBlock block;
+          if (payload.size() >= 3) {
+            block.completed = payload[0] == '1';
+            block.audit_ok = payload[1] == '1';
+            block.text = payload.substr(3);
+          }
+          blocks[static_cast<std::size_t>(rep)] = std::move(block);
+        });
+    if (!csv && replayed > 0) {
+      std::cout << "journal: replayed " << replayed << " of " << reps
+                << " repetitions from " << journal_dir << "\n";
+    }
+  }
+
+  if (!svg_path.empty()) {
+    const core::Scenario scenario(config, 0, prefabs[0]);
+    std::ostringstream out;
+    harness::SvgOptions svg_options;
+    svg_options.pcr_m = scenario.pcr();
+    harness::WriteSvg(out, scenario.secondary_graph(), &scenario.collection_tree(),
+                      scenario.pu_positions(), svg_options);
+    if (!WriteArtifactOrComplain(svg_path, out.str())) return 2;
+    std::cout << "topology rendered to " << svg_path << "\n";
+  }
+  bool all_completed = true;
+  bool audit_clean = true;
+  for (const RepBlock& block : blocks) {
+    std::cout << block.text;
+    all_completed &= block.completed;
+    audit_clean &= block.audit_ok;
   }
   if (!trace_path.empty()) {
     std::ostringstream out;
@@ -815,28 +649,35 @@ int main(int argc, char** argv) {
               << span_tracer.packets().size() << " packets, "
               << span_tracer.attempts().size() << " attempts)\n";
   }
-  if (!metrics_out.empty() &&
-      !harness::WriteMetricsJson(merged_metrics,
-                                 sim::FromMilliseconds(metrics_final_ms),
-                                 metrics_out, std::cout)) {
-    return 2;
+  if (!metrics_out.empty()) {
+    obs::MetricsRegistry merged;
+    double final_ms = 0.0;
+    for (const RepOutcome& outcome : outcomes) {
+      merged.Merge(outcome.metrics);
+      if (outcome.addc.has_value()) {
+        final_ms = std::max(final_ms, outcome.addc->delay_ms);
+      }
+    }
+    if (!harness::WriteMetricsJson(merged, sim::FromMilliseconds(final_ms),
+                                   metrics_out, std::cout)) {
+      return 2;
+    }
   }
-  if (!flight_out.empty()) {
-    harness::FoldFlightRecorderIntoProfiler(flight_recorder, flight_profiler);
+  if (flight_recorder.has_value()) {
     std::ostringstream out;
-    flight_recorder.WriteDump(out);
+    flight_recorder->WriteDump(out);
     if (!WriteArtifactOrComplain(flight_out, out.str())) return 2;
-    std::cout << "flight recorder: " << flight_recorder.size() << " of "
-              << flight_recorder.total_recorded()
+    std::cout << "flight recorder: " << flight_recorder->size() << " of "
+              << flight_recorder->total_recorded()
               << " recorded actions retained -> " << flight_out << "\n";
-    const std::vector<std::string>& kind_names = flight_recorder.kind_names();
-    const std::vector<sim::KindCounters>& counters = flight_recorder.counters();
+    const std::vector<std::string>& kind_names = flight_recorder->kind_names();
+    const std::vector<sim::KindCounters>& counters = flight_recorder->counters();
     for (std::size_t k = 0; k < counters.size(); ++k) {
       if (counters[k].fires == 0) continue;
       std::cout << "  " << kind_names[k] << ": " << counters[k].fires
                 << " fires, "
                 << harness::FormatDouble(
-                       flight_recorder.fire_wall_seconds(
+                       flight_recorder->fire_wall_seconds(
                            static_cast<std::uint16_t>(k)) * 1e3, 3)
                 << " ms wall\n";
     }
@@ -845,5 +686,6 @@ int main(int argc, char** argv) {
     std::cerr << "audit: invariant violations or digest divergence detected\n";
     return 1;
   }
-  return all_completed ? 0 : 1;
+  // A run that hit the horizon is censored, not wrong: its own status.
+  return all_completed ? 0 : 3;
 }
